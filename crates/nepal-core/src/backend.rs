@@ -248,14 +248,13 @@ impl Backend for RelationalBackend {
         span: &SpanHandle,
     ) -> Result<Vec<Pathway>> {
         let t0 = trace.is_some().then(Instant::now);
-        let res =
-            evaluate_relational_spanned(&mut self.db, &self.schema, plan, filter, seeds, opts, span).map_err(|e| {
-                match e {
-                    nepal_relational::RelError::DeadlineExceeded => NepalError::DeadlineExceeded,
-                    nepal_relational::RelError::Cancelled => NepalError::Cancelled,
-                    other => NepalError::Backend(other.to_string()),
-                }
-            })?;
+        let res = evaluate_relational_spanned(&self.db, &self.schema, plan, filter, seeds, opts, span).map_err(
+            |e| match e {
+                nepal_relational::RelError::DeadlineExceeded => NepalError::DeadlineExceeded,
+                nepal_relational::RelError::Cancelled => NepalError::Cancelled,
+                other => NepalError::Backend(other.to_string()),
+            },
+        )?;
         if let Some(trace) = trace {
             trace.bump("rel_rows_scanned", res.rows_scanned);
             trace.bump("rel_rows_joined", res.rows_joined);
@@ -272,40 +271,25 @@ impl Backend for RelationalBackend {
     }
 
     fn fields(&mut self, uid: Uid, filter: TimeFilter) -> Option<(ClassId, Vec<Value>)> {
-        // Probe each class table's id_ index; class tables are named after
-        // the class, so the hit identifies the runtime class.
-        let schema = self.schema.clone();
-        for kind_root in [nepal_schema::NODE, nepal_schema::EDGE] {
-            let is_node = kind_root == nepal_schema::NODE;
-            let offset = nepal_relational::field_offset(is_node);
-            for class in schema.descendants(kind_root) {
-                let name = nepal_relational::table_name(&schema, class);
-                let tables = match filter {
-                    TimeFilter::Current => vec![name.clone()],
-                    _ => vec![name.clone(), nepal_relational::history_name(&name)],
+        // The owner index names the one class table (plus its history)
+        // that holds the uid's versions.
+        let owner = self.db.owner(uid.0)?;
+        let class = self.db.table_class(owner)?;
+        let offset = nepal_relational::field_offset(self.schema.kind(class) == nepal_schema::ClassKind::Node);
+        let hist = if matches!(filter, TimeFilter::Current) { None } else { self.db.history(owner) };
+        for tid in [owner].into_iter().chain(hist) {
+            let t = self.db.table_at(tid);
+            let ncols = t.cols.len();
+            for &rid in t.probe(0, &Value::Int(uid.0 as i64)) {
+                let row = &t.rows[rid as usize];
+                let (Value::Ts(from), Value::Ts(to)) = (&row[ncols - 2], &row[ncols - 1]) else { continue };
+                let ok = match filter {
+                    TimeFilter::Current => *to == nepal_graph::FOREVER,
+                    TimeFilter::AsOf(at) => *from <= at && at < *to,
+                    TimeFilter::Range(_, b) => *from <= b.saturating_add(1),
                 };
-                for tname in tables {
-                    let Ok(t) = self.db.table_mut(&tname) else { continue };
-                    let ncols = t.cols.len();
-                    for rid in t.probe(0, &Value::Int(uid.0 as i64)) {
-                        let row = &t.rows[rid as usize];
-                        let from = match &row[ncols - 2] {
-                            Value::Ts(t) => *t,
-                            _ => continue,
-                        };
-                        let to = match &row[ncols - 1] {
-                            Value::Ts(t) => *t,
-                            _ => continue,
-                        };
-                        let ok = match filter {
-                            TimeFilter::Current => to == nepal_graph::FOREVER,
-                            TimeFilter::AsOf(at) => from <= at && at < to,
-                            TimeFilter::Range(_, b) => from <= b.saturating_add(1),
-                        };
-                        if ok {
-                            return Some((class, row[offset..ncols - 2].to_vec()));
-                        }
-                    }
+                if ok {
+                    return Some((class, row[offset..ncols - 2].to_vec()));
                 }
             }
         }
@@ -316,7 +300,7 @@ impl Backend for RelationalBackend {
         if atom.unique_eq_pred(&self.schema).is_some() {
             return 1.0;
         }
-        let rows = self.db.subtree_rows(&nepal_relational::table_name(&self.schema, atom.class)).max(1) as f64;
+        let rows = self.db.class_table(atom.class).map_or(0, |t| self.db.subtree_rows(t)).max(1) as f64;
         apply_selectivity(rows, atom)
     }
 

@@ -9,18 +9,21 @@
 //! forward and backward frontiers are finally joined on the seed.
 //!
 //! Every operator also emits the equivalent SQL text, so the generated
-//! query sequence can be inspected exactly as the paper presents it.
+//! query sequence can be inspected exactly as the paper presents it. The
+//! in-memory frontiers carry only what the joins read (`uid_list`, not
+//! `concept_list`), and a node `Extend` probes only the class table that
+//! owns the pending uid (see [`RelDb::owner`]).
 
 use std::collections::{HashMap, HashSet};
 
 use nepal_graph::{Interval, IntervalSet, TimeFilter, Uid, FOREVER};
 use nepal_obs::SpanHandle;
 use nepal_rpe::{CancelCause, CancelToken, EvalOptions, Label, Pathway, RpePlan, Seeds};
-use nepal_schema::{format_ts, Schema, Ts, Value};
+use nepal_schema::{format_ts, Schema, Ts, Value, EDGE, NODE};
 
-use crate::db::RelDb;
+use crate::db::{RelDb, TableId};
 use crate::error::Result;
-use crate::load::{field_offset, history_name, table_name};
+use crate::load::{field_offset, table_name};
 
 /// Result of a relational evaluation: the pathways plus the SQL script the
 /// translator generated for the target DBMS.
@@ -40,7 +43,6 @@ struct Row {
     seed_uid: i64,
     seed_tr: u32,
     uid_list: Vec<i64>,
-    concepts: Vec<String>,
     curr: i64,
     /// The forced next element (edge endpoint) when the last consumed
     /// element was an edge; `None` when it was a node.
@@ -58,8 +60,35 @@ impl Row {
     }
 }
 
+/// The tables an element label reads, resolved once per evaluation.
+struct LabelTables {
+    /// Per class table of the label's subtree, in scan order: its
+    /// `__history` companion (unless the filter is current), then itself.
+    tables: Vec<TableId>,
+    /// Class table id → its position in the subtree scan order;
+    /// [`OUTSIDE`] for tables outside the subtree.
+    slots: Vec<u32>,
+}
+
+const OUTSIDE: u32 = u32::MAX;
+
+impl LabelTables {
+    fn resolve(db: &RelDb, root: Option<TableId>, filter: TimeFilter) -> LabelTables {
+        let mut tables = Vec::new();
+        let mut slots = vec![OUTSIDE; db.num_tables()];
+        for (pos, &t) in root.map_or(&[][..], |r| db.subtree(r)).iter().enumerate() {
+            if !matches!(filter, TimeFilter::Current) {
+                tables.extend(db.history(t));
+            }
+            tables.push(t);
+            slots[t as usize] = pos as u32;
+        }
+        LabelTables { tables, slots }
+    }
+}
+
 struct Evaluator<'a> {
-    db: &'a mut RelDb,
+    db: &'a RelDb,
     schema: &'a Schema,
     plan: &'a RpePlan,
     filter: TimeFilter,
@@ -75,6 +104,8 @@ struct Evaluator<'a> {
     cancel: Option<CancelToken>,
     cancel_ctr: u64,
     tripped: Option<CancelCause>,
+    /// Resolved tables of `AnyNode`, `AnyEdge`, then each plan atom.
+    labels: Vec<LabelTables>,
 }
 
 /// Poll the cancel token once per this many scanned/probed rows.
@@ -104,25 +135,14 @@ fn rel_checkpoint(cancel: &Option<CancelToken>, ctr: &mut u64, tripped: &mut Opt
 }
 
 impl<'a> Evaluator<'a> {
-    /// Class tables (and history companions, depending on the time filter)
-    /// that can hold elements satisfying `label`.
-    fn tables_for_label(&self, label: Label) -> Vec<(String, bool)> {
-        let root = match label {
-            Label::AnyNode => "node".to_string(),
-            Label::AnyEdge => "edge".to_string(),
-            Label::Atom(a) => table_name(self.schema, self.plan.atoms[a as usize].class),
-        };
-        let mut out = Vec::new();
-        for t in self.db.subtree(&root) {
-            match self.filter {
-                TimeFilter::Current => out.push((t, true)),
-                _ => {
-                    out.push((history_name(&t), false));
-                    out.push((t, true));
-                }
-            }
+    /// Index into `labels` of the tables that can hold elements
+    /// satisfying `label`.
+    fn label_slot(label: Label) -> usize {
+        match label {
+            Label::AnyNode => 0,
+            Label::AnyEdge => 1,
+            Label::Atom(a) => 2 + a as usize,
         }
-        out
     }
 
     fn label_is_node(&self, label: Label) -> bool {
@@ -148,21 +168,16 @@ impl<'a> Evaluator<'a> {
     /// source endpoint so the backward pass can seed with `pending=source`
     /// while the forward pass uses `pending=target`.
     fn select_atom(&mut self, atom_idx: u32, seed_tr: u32) -> Vec<SeedPair> {
-        let atom = self.plan.atoms[atom_idx as usize].clone();
+        let atom = &self.plan.atoms[atom_idx as usize];
         let label = Label::Atom(atom_idx);
         let is_node = atom.is_node;
         let scan_span = self.span.child("Scan");
         scan_span.attr("atom", &atom.display);
         let scanned_before = self.rows_scanned;
         let mut rows = Vec::new();
-        let tables = self.tables_for_label(label);
-        for (tname, _) in &tables {
-            if !self.db.has_table(tname) {
-                continue;
-            }
-            let t = self.db.table(tname).unwrap();
+        for &tid in &self.labels[Self::label_slot(label)].tables {
+            let t = self.db.table_at(tid);
             let n = t.cols.len();
-            let concept = tname.trim_end_matches("__history").to_string();
             self.rows_scanned += t.rows.len() as u64;
             for r in &t.rows {
                 if rel_checkpoint(&self.cancel, &mut self.cancel_ctr, &mut self.tripped) {
@@ -176,16 +191,7 @@ impl<'a> Evaluator<'a> {
                 let (pending, source) = if is_node { (None, None) } else { (Some(as_i64(&r[2])), Some(as_i64(&r[1]))) };
                 let (t_from, t_to) = if self.filter.is_range() { (Some(from), Some(to)) } else { (None, None) };
                 rows.push((
-                    Row {
-                        seed_uid: uid,
-                        seed_tr,
-                        uid_list: vec![uid],
-                        concepts: vec![concept.clone()],
-                        curr: uid,
-                        pending,
-                        t_from,
-                        t_to,
-                    },
+                    Row { seed_uid: uid, seed_tr, uid_list: vec![uid], curr: uid, pending, t_from, t_to },
                     source,
                 ));
             }
@@ -197,7 +203,7 @@ impl<'a> Evaluator<'a> {
             self.temp_counter,
             atom.class_name,
             table_name(self.schema, atom.class),
-            preds_sql(&atom),
+            preds_sql(atom),
             self.temporal_sql(),
         ));
         scan_span.attr("rows_scanned", self.rows_scanned - scanned_before);
@@ -212,17 +218,11 @@ impl<'a> Evaluator<'a> {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let tables = self.tables_for_label(label);
-        for (tname, _) in &tables {
-            if !self.db.has_table(tname) {
-                continue;
-            }
-            let concept = tname.trim_end_matches("__history").to_string();
-            // Probe column: source for forward extension, target backward.
-            let t = self.db.table_mut(tname).unwrap();
+        // Probe column: source for forward extension, target backward.
+        let (probe_col, other_col) = if forwards { (1, 2) } else { (2, 1) };
+        for &tid in &self.labels[Self::label_slot(label)].tables {
+            let t = self.db.table_at(tid);
             let n = t.cols.len();
-            let probe_col = if forwards { 1 } else { 2 };
-            let other_col = if forwards { 2 } else { 1 };
             for row in rows {
                 if rel_checkpoint(&self.cancel, &mut self.cancel_ctr, &mut self.tripped) {
                     return out;
@@ -232,7 +232,7 @@ impl<'a> Evaluator<'a> {
                 }
                 let rids = t.probe(probe_col, &Value::Int(row.curr));
                 self.rows_joined += rids.len() as u64;
-                for rid in rids {
+                for &rid in rids {
                     let r = &t.rows[rid as usize];
                     let (from, to) = (as_ts(&r[n - 2]), as_ts(&r[n - 1]));
                     if !version_ok(self.filter, from, to) {
@@ -248,21 +248,13 @@ impl<'a> Evaluator<'a> {
                     if !preds_ok(self.plan, label, r, false) {
                         continue;
                     }
-                    let times = if self.filter.is_range() {
-                        match row.intersect_span(from, to) {
-                            Some(t) => t,
-                            None => continue,
-                        }
-                    } else {
-                        (None, None)
-                    };
+                    let Some((t_from, t_to)) = self.joined_span(row, from, to) else { continue };
                     let mut new = row.clone();
                     new.uid_list.push(eid);
-                    new.concepts.push(concept.clone());
                     new.curr = eid;
                     new.pending = Some(other);
-                    new.t_from = times.0;
-                    new.t_to = times.1;
+                    new.t_from = t_from;
+                    new.t_to = t_to;
                     out.push(new);
                 }
             }
@@ -271,55 +263,75 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Extend an edge-position frontier by its pending endpoint node.
+    ///
+    /// A uid's versions live in exactly one class table and its history,
+    /// so each row probes only its owner's tables, and only when the owner
+    /// is in the label's subtree (any other table would return no rows).
+    /// Rows are grouped by the owner's position in the subtree so the
+    /// output keeps the table-major order of a probe of every table.
     fn extend_node(&mut self, rows: &[Row], label: Label) -> Vec<Row> {
         if !self.label_is_node(label) {
             return Vec::new();
         }
+        let db = self.db;
+        let slots = &self.labels[Self::label_slot(label)].slots;
+        // (position of the owner in the subtree, owner, pending uid, row).
+        let mut routed: Vec<(u32, TableId, i64, u32)> = rows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, row)| {
+                let p = row.pending?;
+                let owner = db.owner(p as u64)?;
+                let pos = slots[owner as usize];
+                (pos != OUTSIDE).then_some((pos, owner, p, i as u32))
+            })
+            .collect();
+        routed.sort_unstable_by_key(|&(pos, _, _, i)| (pos, i));
+        let historical = !matches!(self.filter, TimeFilter::Current);
         let mut out = Vec::new();
-        let tables = self.tables_for_label(label);
-        for (tname, _) in &tables {
-            if !self.db.has_table(tname) {
-                continue;
-            }
-            let concept = tname.trim_end_matches("__history").to_string();
-            let t = self.db.table_mut(tname).unwrap();
-            let n = t.cols.len();
-            for row in rows {
-                if rel_checkpoint(&self.cancel, &mut self.cancel_ctr, &mut self.tripped) {
-                    return out;
-                }
-                let p = match row.pending {
-                    Some(p) => p,
-                    None => continue,
-                };
-                let rids = t.probe(0, &Value::Int(p));
-                self.rows_joined += rids.len() as u64;
-                for rid in rids {
-                    let r = &t.rows[rid as usize];
-                    let (from, to) = (as_ts(&r[n - 2]), as_ts(&r[n - 1]));
-                    if !version_ok(self.filter, from, to) || !preds_ok(self.plan, label, r, true) {
-                        continue;
+        for group in routed.chunk_by(|a, b| a.0 == b.0) {
+            let owner = group[0].1;
+            let hist = if historical { db.history(owner) } else { None };
+            for tid in hist.into_iter().chain([owner]) {
+                let t = db.table_at(tid);
+                let n = t.cols.len();
+                for &(_, _, p, i) in group {
+                    if rel_checkpoint(&self.cancel, &mut self.cancel_ctr, &mut self.tripped) {
+                        return out;
                     }
-                    let times = if self.filter.is_range() {
-                        match row.intersect_span(from, to) {
-                            Some(t) => t,
-                            None => continue,
+                    let row = &rows[i as usize];
+                    let rids = t.probe(0, &Value::Int(p));
+                    self.rows_joined += rids.len() as u64;
+                    for &rid in rids {
+                        let r = &t.rows[rid as usize];
+                        let (from, to) = (as_ts(&r[n - 2]), as_ts(&r[n - 1]));
+                        if !version_ok(self.filter, from, to) || !preds_ok(self.plan, label, r, true) {
+                            continue;
                         }
-                    } else {
-                        (None, None)
-                    };
-                    let mut new = row.clone();
-                    new.uid_list.push(p);
-                    new.concepts.push(concept.clone());
-                    new.curr = p;
-                    new.pending = None;
-                    new.t_from = times.0;
-                    new.t_to = times.1;
-                    out.push(new);
+                        let Some((t_from, t_to)) = self.joined_span(row, from, to) else { continue };
+                        let mut new = row.clone();
+                        new.uid_list.push(p);
+                        new.curr = p;
+                        new.pending = None;
+                        new.t_from = t_from;
+                        new.t_to = t_to;
+                        out.push(new);
+                    }
                 }
             }
         }
         out
+    }
+
+    /// The assertion span a row carries after joining a version valid over
+    /// `[from, to)`: the intersection in range mode (`None` when empty),
+    /// no span otherwise.
+    fn joined_span(&self, row: &Row, from: Ts, to: Ts) -> Option<(Option<Ts>, Option<Ts>)> {
+        if self.filter.is_range() {
+            row.intersect_span(from, to)
+        } else {
+            Some((None, None))
+        }
     }
 
     fn log_extend(&mut self, label: Label, forwards: bool, from_table: u32) {
@@ -350,6 +362,9 @@ impl<'a> Evaluator<'a> {
         // Topological order of the NFA DAG.
         let order = topo_order(self.plan, forwards);
         let mut tables: HashMap<u32, Vec<Row>> = seeds_by_state;
+        // Rows already queued per state. The NFA is a DAG and `order` is
+        // topological, so a state's entries are final (and dropped) once
+        // the state is reached.
         let mut seen: HashMap<u32, HashSet<Row>> = HashMap::new();
         for (s, rows) in &tables {
             seen.entry(*s).or_default().extend(rows.iter().cloned());
@@ -360,8 +375,9 @@ impl<'a> Evaluator<'a> {
             if self.tripped.is_some() {
                 break; // cancelled: stop joining, the caller surfaces it
             }
-            let rows = match tables.get(&state) {
-                Some(r) if !r.is_empty() => r.clone(),
+            seen.remove(&state);
+            let rows = match tables.remove(&state) {
+                Some(r) if !r.is_empty() => r,
                 _ => continue,
             };
             table_no += 1;
@@ -524,7 +540,7 @@ type SeedPair = (Row, Option<i64>);
 
 /// Evaluate a planned RPE against the relational store.
 pub fn evaluate_relational(
-    db: &mut RelDb,
+    db: &RelDb,
     schema: &Schema,
     plan: &RpePlan,
     filter: TimeFilter,
@@ -538,7 +554,7 @@ pub fn evaluate_relational(
 /// child spans and each directional frontier pass a `Join(fwd)`/`Join(bwd)`
 /// span, carrying rows-scanned/rows-joined attributes.
 pub fn evaluate_relational_spanned(
-    db: &mut RelDb,
+    db: &RelDb,
     schema: &Schema,
     plan: &RpePlan,
     filter: TimeFilter,
@@ -559,6 +575,11 @@ pub fn evaluate_relational_spanned(
         cancel: opts.cancel.clone(),
         cancel_ctr: 0,
         tripped: None,
+        labels: [NODE, EDGE]
+            .into_iter()
+            .chain(plan.atoms.iter().map(|a| a.class))
+            .map(|class| LabelTables::resolve(db, db.class_table(class), filter))
+            .collect(),
     };
     let range = filter.is_range();
     let init_times = |rows: &mut Vec<Row>| {
@@ -665,7 +686,6 @@ pub fn evaluate_relational_spanned(
                         seed_uid: src.0 as i64,
                         seed_tr: 0,
                         uid_list: Vec::new(),
-                        concepts: Vec::new(),
                         curr: 0,
                         pending: Some(src.0 as i64),
                         t_from: None,
@@ -674,7 +694,6 @@ pub fn evaluate_relational_spanned(
                     let rows = ev.extend_node(&[probe], label);
                     for mut r in rows {
                         r.uid_list = vec![src.0 as i64];
-                        r.concepts = r.concepts.split_off(r.concepts.len() - 1);
                         r.curr = src.0 as i64;
                         r.pending = None;
                         seed_rows.entry(to).or_default().push(r);
@@ -696,7 +715,6 @@ pub fn evaluate_relational_spanned(
                         seed_uid: tgt.0 as i64,
                         seed_tr: 0,
                         uid_list: Vec::new(),
-                        concepts: Vec::new(),
                         curr: 0,
                         pending: Some(tgt.0 as i64),
                         t_from: None,
@@ -705,7 +723,6 @@ pub fn evaluate_relational_spanned(
                     let rows = ev.extend_node(&[probe], tr.label);
                     for mut r in rows {
                         r.uid_list = vec![tgt.0 as i64];
-                        r.concepts = r.concepts.split_off(r.concepts.len() - 1);
                         r.curr = tgt.0 as i64;
                         r.pending = None;
                         seed_rows.entry(tr.from).or_default().push(r);
@@ -721,9 +738,8 @@ pub fn evaluate_relational_spanned(
     }
 
     // A tripped checkpoint anywhere above means the frontier (and thus
-    // `merged`) is partial: drop temps and surface the typed error.
+    // `merged`) is partial: surface the typed error.
     if let Some(cause) = ev.tripped {
-        ev.db.drop_temps();
         return Err(cause.into());
     }
 
@@ -739,6 +755,5 @@ pub fn evaluate_relational_spanned(
     }
     let sql = std::mem::take(&mut ev.sql);
     let (rows_scanned, rows_joined) = (ev.rows_scanned, ev.rows_joined);
-    ev.db.drop_temps();
     Ok(RelResult { pathways, sql, rows_scanned, rows_joined })
 }

@@ -3,8 +3,8 @@
 //! An in-memory reproduction of the paper's PostgreSQL backend (§5.2/§5.3):
 //!
 //! - [`table`] — typed tables with hash-join probes and array columns.
-//! - [`db`] — the database: `INHERITS` hierarchies (class subtree scans),
-//!   TEMP tables, `__history` companions.
+//! - [`db`] — the database: `INHERITS` hierarchies resolved to table-id
+//!   subtrees, `__history` companions, and the uid → class-table index.
 //! - [`load`] — table-per-class DDL generation and graph loading.
 //! - [`exec`] — set-at-a-time RPE evaluation: `Select` → chained `Extend`
 //!   bulk joins with `uid_list` cycle predicates → `Union`, emitting the
@@ -20,7 +20,7 @@ pub mod load;
 pub mod sql;
 pub mod table;
 
-pub use db::RelDb;
+pub use db::{RelDb, TableId};
 pub use error::{RelError, Result};
 pub use exec::{evaluate_relational, evaluate_relational_spanned, RelResult};
 pub use load::{create_schema, db_from_graph, field_offset, history_name, load_graph, table_name};

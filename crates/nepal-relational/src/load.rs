@@ -11,7 +11,7 @@ use nepal_graph::{TemporalGraph, FOREVER};
 use nepal_schema::{ClassId, ClassKind, Schema, Value, EDGE, NODE};
 
 use crate::db::RelDb;
-use crate::error::Result;
+use crate::error::{RelError, Result};
 use crate::table::{ColDef, ColType, Table};
 
 /// Relational name of a class table.
@@ -64,8 +64,7 @@ pub fn field_offset(is_node: bool) -> usize {
 /// Returns the DDL statements that an actual Postgres deployment would run.
 pub fn create_schema(db: &mut RelDb, schema: &Schema) -> Result<Vec<String>> {
     let mut ddl = Vec::new();
-    let mut uids = Table::new("uids", vec![ColDef::new("id_", ColType::BigInt)]);
-    uids.cols.reserve(0);
+    let uids = Table::new("uids", vec![ColDef::new("id_", ColType::BigInt)]);
     ddl.push(uids.ddl(None));
     db.create_table(uids, None)?;
     // Classes are registered parents-first in the schema, so iterating in
@@ -77,7 +76,8 @@ pub fn create_schema(db: &mut RelDb, schema: &Schema) -> Result<Vec<String>> {
                 schema.class(class).parent.filter(|p| *p != nepal_schema::ENTITY).map(|p| table_name(schema, p));
             let t = Table::new(name.clone(), class_cols(schema, class));
             ddl.push(t.ddl(parent.as_deref()));
-            db.create_table(t, parent.as_deref())?;
+            let id = db.create_table(t, parent.as_deref())?;
+            db.bind_class(class, id);
             let h = Table::new(history_name(&name), class_cols(schema, class));
             ddl.push(h.ddl(None));
             db.create_table(h, None)?;
@@ -87,16 +87,20 @@ pub fn create_schema(db: &mut RelDb, schema: &Schema) -> Result<Vec<String>> {
 }
 
 /// Load every version of every entity from the graph: open versions into
-/// the class table, closed versions into its `__history` companion.
+/// the class table, closed versions into its `__history` companion. Each
+/// uid's class table is recorded in the database's owner index.
 pub fn load_graph(db: &mut RelDb, g: &TemporalGraph) -> Result<()> {
     let schema = g.schema().clone();
+    let uids = db.id("uids").ok_or_else(|| RelError::UnknownTable("uids".into()))?;
     for kind_root in [NODE, EDGE] {
         let is_node = kind_root == NODE;
         for class in schema.descendants(kind_root) {
             let name = table_name(&schema, class);
-            let hist = history_name(&name);
+            let current = db.class_table(class).ok_or_else(|| RelError::UnknownTable(name.clone()))?;
+            let hist = db.history(current).ok_or_else(|| RelError::UnknownTable(history_name(&name)))?;
             for &uid in g.extent_exact(class) {
-                db.table_mut("uids")?.insert(vec![Value::Int(uid.0 as i64)])?;
+                db.table_at_mut(uids).insert(vec![Value::Int(uid.0 as i64)])?;
+                db.set_owner(uid.0, current);
                 let endpoints = if is_node {
                     None
                 } else {
@@ -112,8 +116,8 @@ pub fn load_graph(db: &mut RelDb, g: &TemporalGraph) -> Result<()> {
                     row.extend(g.fields_of(uid, i).iter().cloned());
                     row.push(Value::Ts(v.span.from));
                     row.push(Value::Ts(v.span.to));
-                    let target = if v.span.to == FOREVER { &name } else { &hist };
-                    db.table_mut(target)?.insert(row)?;
+                    let target = if v.span.to == FOREVER { current } else { hist };
+                    db.table_at_mut(target).insert(row)?;
                 }
             }
         }
@@ -172,10 +176,11 @@ mod tests {
     fn subtree_select_sees_subclass_rows() {
         let g = graph();
         let db = db_from_graph(&g).unwrap();
+        let rows = |t: &str| db.subtree_rows(db.id(t).unwrap());
         // Paper: "Every VMWare node is also a VM node, and also a Node node."
-        assert_eq!(db.subtree_rows("vmware"), 1);
-        assert_eq!(db.subtree_rows("vm"), 1);
-        assert!(db.subtree_rows("node") >= 2);
+        assert_eq!(rows("vmware"), 1);
+        assert_eq!(rows("vm"), 1);
+        assert!(rows("node") >= 2);
         // The closed Green version went to history.
         assert_eq!(db.table("vmware__history").unwrap().len(), 1);
         assert_eq!(db.table("vmware").unwrap().len(), 1);
@@ -192,6 +197,18 @@ mod tests {
         let tgt = t.col_idx("target_id_").unwrap();
         assert_eq!(row[src], Value::Int(0));
         assert_eq!(row[tgt], Value::Int(1));
+    }
+
+    #[test]
+    fn owner_index_routes_each_uid_to_its_class_table() {
+        let g = graph();
+        let db = db_from_graph(&g).unwrap();
+        for (uid, table) in [(0, "vmware"), (1, "host"), (2, "hostedon")] {
+            assert_eq!(db.owner(uid), db.id(table), "uid {uid}");
+            let class = db.table_class(db.owner(uid).unwrap()).unwrap();
+            assert_eq!(table_name(g.schema(), class), table);
+        }
+        assert_eq!(db.owner(3), None);
     }
 
     #[test]

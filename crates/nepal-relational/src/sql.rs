@@ -584,12 +584,12 @@ fn rows_of(db: &RelDb, table: &str) -> Result<(Vec<ColDef>, Vec<Vec<Value>>)> {
         }
         return Ok((cols, rows));
     }
-    let base = db.table(table)?;
-    let cols = base.cols.clone();
+    let id = db.id(table).ok_or_else(|| RelError::UnknownTable(table.to_string()))?;
+    let cols = db.table_at(id).cols.clone();
     let mut rows: Vec<Vec<Value>> = Vec::new();
-    for sub in db.subtree(table) {
-        let t = db.table(&sub)?;
-        if sub == table {
+    for &sub in db.subtree(id) {
+        let t = db.table_at(sub);
+        if sub == id {
             rows.extend(t.rows.iter().cloned());
         } else {
             let map: Vec<Option<usize>> = cols.iter().map(|c| t.col_idx(&c.name).ok()).collect();

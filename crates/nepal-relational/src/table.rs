@@ -6,6 +6,7 @@
 //! join operators, using techniques similar to … Fan, Raj, and Patel").
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use nepal_schema::Value;
 
@@ -59,13 +60,14 @@ pub struct Table {
     pub name: String,
     pub cols: Vec<ColDef>,
     pub rows: Vec<Vec<Value>>,
-    /// Lazily built hash indexes: column index → value → row ids.
-    indexes: HashMap<usize, HashMap<Value, Vec<u32>>>,
+    /// Lazily built hash indexes, one slot per column: value → row ids.
+    indexes: Vec<OnceLock<HashMap<Value, Vec<u32>>>>,
 }
 
 impl Table {
     pub fn new(name: impl Into<String>, cols: Vec<ColDef>) -> Table {
-        Table { name: name.into(), cols, rows: Vec::new(), indexes: HashMap::new() }
+        let indexes = cols.iter().map(|_| OnceLock::new()).collect();
+        Table { name: name.into(), cols, rows: Vec::new(), indexes }
     }
 
     pub fn col_idx(&self, name: &str) -> Result<usize> {
@@ -81,8 +83,10 @@ impl Table {
         }
         // Keep any existing index in sync.
         let rid = self.rows.len() as u32;
-        for (col, idx) in self.indexes.iter_mut() {
-            idx.entry(row[*col].clone()).or_default().push(rid);
+        for (col, idx) in self.indexes.iter_mut().enumerate() {
+            if let Some(idx) = idx.get_mut() {
+                idx.entry(row[col].clone()).or_default().push(rid);
+            }
         }
         self.rows.push(row);
         Ok(())
@@ -96,21 +100,17 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Build (or reuse) a hash index on a column and return matching rows.
-    pub fn probe(&mut self, col: usize, key: &Value) -> Vec<u32> {
-        if !self.indexes.contains_key(&col) {
+    /// Build (or reuse) a hash index on a column and return the ids of the
+    /// matching rows.
+    pub fn probe(&self, col: usize, key: &Value) -> &[u32] {
+        let idx = self.indexes[col].get_or_init(|| {
             let mut idx: HashMap<Value, Vec<u32>> = HashMap::new();
             for (rid, row) in self.rows.iter().enumerate() {
                 idx.entry(row[col].clone()).or_default().push(rid as u32);
             }
-            self.indexes.insert(col, idx);
-        }
-        self.indexes[&col].get(key).cloned().unwrap_or_default()
-    }
-
-    /// Sequential scan with a row predicate.
-    pub fn scan<'a>(&'a self, pred: impl Fn(&[Value]) -> bool + 'a) -> impl Iterator<Item = &'a Vec<Value>> + 'a {
-        self.rows.iter().filter(move |r| pred(r))
+            idx
+        });
+        idx.get(key).map_or(&[], Vec::as_slice)
     }
 
     /// `CREATE TABLE` DDL for this table (Postgres dialect).
@@ -137,9 +137,9 @@ mod tests {
 
     #[test]
     fn probe_uses_hash_index() {
-        let mut t = t();
+        let t = t();
         assert_eq!(t.probe(1, &Value::Str("Green".into())).len(), 2);
-        assert_eq!(t.probe(0, &Value::Int(2)), vec![1]);
+        assert_eq!(t.probe(0, &Value::Int(2)), [1]);
         assert!(t.probe(0, &Value::Int(99)).is_empty());
     }
 

@@ -90,8 +90,8 @@ fn check_equivalence(g: &TemporalGraph, rpe: &str, filter: TimeFilter) {
     let plan = plan_rpe(g.schema(), &parse_rpe(rpe).unwrap(), &GraphEstimator { graph: g }).unwrap();
     let view = GraphView::new(g, filter);
     let native = evaluate(&view, &plan, Seeds::Anchor, &EvalOptions::default());
-    let mut db = db_from_graph(g).unwrap();
-    let rel = evaluate_relational(&mut db, g.schema(), &plan, filter, Seeds::Anchor, &EvalOptions::default()).unwrap();
+    let db = db_from_graph(g).unwrap();
+    let rel = evaluate_relational(&db, g.schema(), &plan, filter, Seeds::Anchor, &EvalOptions::default()).unwrap();
     assert_eq!(
         key(&native),
         key(&rel.pathways),
@@ -155,12 +155,12 @@ fn seeded_evaluation_equivalence() {
         view.scan_class(g.schema().class_by_name("Host").unwrap())
     };
     let view = GraphView::new(&g, TimeFilter::Current);
-    let mut db = db_from_graph(&g).unwrap();
+    let db = db_from_graph(&g).unwrap();
     for h in hosts.iter().take(4) {
         let seeds = [*h];
         let native = evaluate(&view, &plan, Seeds::Sources(&seeds), &EvalOptions::default());
         let rel = evaluate_relational(
-            &mut db,
+            &db,
             g.schema(),
             &plan,
             TimeFilter::Current,
@@ -171,7 +171,7 @@ fn seeded_evaluation_equivalence() {
         assert_eq!(key(&native), key(&rel.pathways), "sources seeded mismatch");
         let native_t = evaluate(&view, &plan, Seeds::Targets(&seeds), &EvalOptions::default());
         let rel_t = evaluate_relational(
-            &mut db,
+            &db,
             g.schema(),
             &plan,
             TimeFilter::Current,
@@ -192,17 +192,16 @@ fn emitted_sql_has_paper_shape() {
         &GraphEstimator { graph: &g },
     )
     .unwrap();
-    let mut db = db_from_graph(&g).unwrap();
-    let rel =
-        evaluate_relational(&mut db, g.schema(), &plan, TimeFilter::Current, Seeds::Anchor, &EvalOptions::default())
-            .unwrap();
+    let db = db_from_graph(&g).unwrap();
+    let rel = evaluate_relational(&db, g.schema(), &plan, TimeFilter::Current, Seeds::Anchor, &EvalOptions::default())
+        .unwrap();
     let sql = rel.sql.join("\n");
     assert!(sql.contains("create TEMP table tmp_select_node_1"), "{sql}");
     assert!(sql.contains("ARRAY[N.id_] as uid_list"), "{sql}");
     assert!(sql.contains("= ANY(T.uid_list)"), "{sql}");
     // AsOf adds the temporal_tables-style predicate.
     let rel2 = evaluate_relational(
-        &mut db,
+        &db,
         g.schema(),
         &plan,
         TimeFilter::AsOf(nepal_schema::parse_ts("2017-02-15 10:00:00").unwrap()),
@@ -225,10 +224,9 @@ fn emitted_sql_parses_with_the_sql_engine() {
         &GraphEstimator { graph: &g },
     )
     .unwrap();
-    let mut db = db_from_graph(&g).unwrap();
+    let db = db_from_graph(&g).unwrap();
     for filter in [TimeFilter::Current, TimeFilter::AsOf(500)] {
-        let rel =
-            evaluate_relational(&mut db, g.schema(), &plan, filter, Seeds::Anchor, &EvalOptions::default()).unwrap();
+        let rel = evaluate_relational(&db, g.schema(), &plan, filter, Seeds::Anchor, &EvalOptions::default()).unwrap();
         for stmt in &rel.sql {
             nepal_relational::parse_sql(stmt).unwrap_or_else(|e| panic!("emitted SQL does not parse: {e}\n{stmt}"));
         }
@@ -257,3 +255,152 @@ fn structured_data_predicates_cross_backend() {
     check_equivalence(&g, "Port(loc.region='east')", TimeFilter::Current);
     check_equivalence(&g, "Port(loc.region='west')", TimeFilter::Current);
 }
+
+// ---------------------------------------------------------------------
+// Table-1 families on the churned toy ONAP tier
+// ---------------------------------------------------------------------
+
+const DAY: nepal_schema::Ts = 86_400_000_000;
+
+/// Query instances per Table-1 family.
+const INSTANCES: usize = 3;
+
+/// The churned toy tier, its Table-1 query instances (`family#i`, RPE) and
+/// the current, `AT` and range filters over the hot-churn window.
+fn onap_toy() -> (TemporalGraph, Vec<(String, String)>, [TimeFilter; 3]) {
+    use nepal_workload::{generate_tier_churned, SizeTier};
+    let (topo, _) = generate_tier_churned(SizeTier::Toy, 11);
+    let queries = nepal_bench::table1_queries(&topo, INSTANCES)
+        .into_iter()
+        .flat_map(|(family, rpes)| {
+            rpes.into_iter().take(INSTANCES).enumerate().map(move |(i, rpe)| (format!("{family}#{i}"), rpe))
+        })
+        .collect();
+    let broad = SizeTier::Toy.broad_churn(0).days as nepal_schema::Ts;
+    let hot = SizeTier::Toy.hot_churn().1 as nepal_schema::Ts;
+    let start = topo.params.start_ts;
+    let (lo, hi) = (start + (broad + 2) * DAY, start + (broad + 1 + hot) * DAY);
+    let quarter = (hi - lo) / 4;
+    let filters =
+        [TimeFilter::Current, TimeFilter::AsOf((lo + hi) / 2 + DAY / 2), TimeFilter::Range(lo + quarter, hi - quarter)];
+    (topo.graph, queries, filters)
+}
+
+#[test]
+fn table1_families_match_native_on_churned_onap() {
+    let (g, queries, filters) = onap_toy();
+    let db = db_from_graph(&g).unwrap();
+    for (instance, rpe) in &queries {
+        let plan = plan_rpe(g.schema(), &parse_rpe(rpe).unwrap(), &GraphEstimator { graph: &g }).unwrap();
+        for filter in filters {
+            let view = GraphView::new(&g, filter);
+            let native = evaluate(&view, &plan, Seeds::Anchor, &EvalOptions { threads: 1, ..Default::default() });
+            let rel =
+                evaluate_relational(&db, g.schema(), &plan, filter, Seeds::Anchor, &EvalOptions::default()).unwrap();
+            assert_eq!(key(&native), key(&rel.pathways), "{instance} `{rpe}` under {filter:?}");
+        }
+    }
+}
+
+#[test]
+fn limited_evaluation_keeps_its_pathways() {
+    let (g, queries, filters) = onap_toy();
+    let db = db_from_graph(&g).unwrap();
+    let mut actual = Vec::new();
+    // Host-Host (6) runs the Extends of Host-Host (4) with two more hops,
+    // at seconds per range evaluation in a debug build.
+    for (instance, rpe) in queries.iter().filter(|(instance, _)| !instance.starts_with("Host-Host (6)")) {
+        let plan = plan_rpe(g.schema(), &parse_rpe(rpe).unwrap(), &GraphEstimator { graph: &g }).unwrap();
+        for (scope, filter) in ["current", "at", "range"].into_iter().zip(filters) {
+            for limit in [1, 2] {
+                let opts = EvalOptions { limit: Some(limit), ..Default::default() };
+                let rel = evaluate_relational(&db, g.schema(), &plan, filter, Seeds::Anchor, &opts).unwrap();
+                let paths: Vec<String> = key(&rel.pathways)
+                    .into_iter()
+                    .map(|(elems, _)| elems.iter().map(u64::to_string).collect::<Vec<_>>().join(","))
+                    .collect();
+                actual.push(format!("{instance} {scope} {limit} | {}", paths.join(" ")).trim_end().to_string());
+            }
+        }
+    }
+    let expected: Vec<&str> = LIMITED.lines().map(str::trim).filter(|l| !l.is_empty()).collect();
+    assert!(actual == expected, "limited pathways changed; actual:\n{}", actual.join("\n"));
+}
+
+/// The pathways `evaluate_relational` returns with `limit: Some(1 | 2)`:
+/// the `4 × limit` early cut keeps the first pathways the joins emit, so
+/// this pins the order in which the `Extend`s emit rows.
+const LIMITED: &str = "
+    Top-down#0 current 1 | 186,189,188,191,190,192,14
+    Top-down#0 current 2 | 186,189,188,191,190,192,14 186,189,188,196,195,197,11
+    Top-down#0 at 1 | 186,189,188,191,190,192,14
+    Top-down#0 at 2 | 186,189,188,191,190,192,14 186,189,188,196,195,197,11
+    Top-down#0 range 1 | 186,189,188,196,195,197,11
+    Top-down#0 range 2 | 186,189,188,191,190,192,14 186,189,188,196,195,197,11
+    Top-down#1 current 1 | 224,227,226,229,228,230,11
+    Top-down#1 current 2 | 224,227,226,229,228,230,11 224,227,226,234,233,235,18
+    Top-down#1 at 1 | 224,227,226,229,228,230,11
+    Top-down#1 at 2 | 224,227,226,229,228,230,11 224,227,226,234,233,235,18
+    Top-down#1 range 1 | 224,227,226,229,228,230,11
+    Top-down#1 range 2 | 224,227,226,229,228,230,11 224,227,226,234,233,235,18
+    Top-down#2 current 1 | 263,266,265,268,267,269,21
+    Top-down#2 current 2 | 263,266,265,268,267,269,21 263,266,265,273,272,274,17
+    Top-down#2 at 1 | 263,266,265,268,267,269,21
+    Top-down#2 at 2 | 263,266,265,268,267,269,21 263,266,265,273,272,274,17
+    Top-down#2 range 1 | 263,266,265,268,267,269,21
+    Top-down#2 range 2 | 263,266,265,268,267,269,21 263,266,265,273,272,274,17
+    Bottom-up#0 current 1 | 263,290,289,292,291,293,9
+    Bottom-up#0 current 2 | 263,290,289,292,291,293,9
+    Bottom-up#0 at 1 | 263,290,289,292,291,293,9
+    Bottom-up#0 at 2 | 263,290,289,292,291,293,9
+    Bottom-up#0 range 1 | 263,290,289,292,291,293,9
+    Bottom-up#0 range 2 | 263,290,289,292,291,293,9
+    Bottom-up#1 current 1 | 
+    Bottom-up#1 current 2 | 
+    Bottom-up#1 at 1 | 
+    Bottom-up#1 at 2 | 
+    Bottom-up#1 range 1 | 
+    Bottom-up#1 range 2 | 
+    Bottom-up#2 current 1 | 186,189,188,196,195,197,11
+    Bottom-up#2 current 2 | 186,189,188,196,195,197,11 224,227,226,229,228,230,11
+    Bottom-up#2 at 1 | 186,189,188,196,195,197,11
+    Bottom-up#2 at 2 | 186,189,188,196,195,197,11 224,227,226,229,228,230,11
+    Bottom-up#2 range 1 | 186,189,188,196,195,197,11
+    Bottom-up#2 range 2 | 186,189,188,196,195,197,11 224,227,226,229,228,230,11
+    VM-VM (4)#0 current 1 | 190,193,150,171,158,172,151,206,202
+    VM-VM (4)#0 current 2 | 190,193,150,171,158,164,147,232,228 190,193,150,171,158,172,151,206,202
+    VM-VM (4)#0 at 1 | 190,193,150,171,158,172,151,206,202
+    VM-VM (4)#0 at 2 | 190,193,150,171,158,164,147,232,228 190,193,150,171,158,172,151,206,202
+    VM-VM (4)#0 range 1 | 190,193,150,223,219
+    VM-VM (4)#0 range 2 | 190,193,150,171,158,164,147,232,228 190,193,150,171,158,172,151,206,202
+    VM-VM (4)#1 current 1 | 233,236,150,171,158,172,151,206,202
+    VM-VM (4)#1 current 2 | 233,236,150,171,158,164,147,232,228 233,236,150,171,158,172,151,206,202
+    VM-VM (4)#1 at 1 | 233,236,150,171,158,172,151,206,202
+    VM-VM (4)#1 at 2 | 233,236,150,171,158,164,147,232,228 233,236,150,171,158,172,151,206,202
+    VM-VM (4)#1 range 1 | 233,236,150,194,190
+    VM-VM (4)#1 range 2 | 233,236,150,171,158,164,147,232,228 233,236,150,171,158,172,151,206,202
+    VM-VM (4)#2 current 1 | 296,299,148,167,160,168,149,218,214
+    VM-VM (4)#2 current 2 | 296,299,148,167,160,168,149,218,214 296,299,148,167,160,176,153,199,195
+    VM-VM (4)#2 at 1 | 296,299,148,167,160,168,149,218,214
+    VM-VM (4)#2 at 2 | 296,299,148,167,160,168,149,218,214 296,299,148,167,160,176,153,199,195
+    VM-VM (4)#2 range 1 | 296,299,148,167,160,168,149,218,214
+    VM-VM (4)#2 range 2 | 296,299,148,167,160,168,149,218,214 296,299,148,167,160,176,153,199,195
+    Host-Host (4)#0 current 1 | 9,49,41,64,12,61,44,78,16
+    Host-Host (4)#0 current 2 | 9,49,41,64,12,61,44,78,16 9,49,41,80,16
+    Host-Host (4)#0 at 1 | 9,49,41,64,12,61,44,78,16
+    Host-Host (4)#0 at 2 | 9,49,41,64,12,61,44,78,16 9,49,41,80,16
+    Host-Host (4)#0 range 1 | 9,49,41,80,16
+    Host-Host (4)#0 range 2 | 9,49,41,64,12,61,44,78,16 9,49,41,80,16
+    Host-Host (4)#1 current 1 | 12,61,44,60,11,57,43,90,19
+    Host-Host (4)#1 current 2 | 12,61,44,60,11,57,43,90,19 12,61,44,76,15,73,43,90,19
+    Host-Host (4)#1 at 1 | 12,61,44,60,11,57,43,90,19
+    Host-Host (4)#1 at 2 | 12,61,44,60,11,57,43,90,19 12,61,44,76,15,73,43,90,19
+    Host-Host (4)#1 range 1 | 12,61,44,92,19
+    Host-Host (4)#1 range 2 | 12,61,44,92,19
+    Host-Host (4)#2 current 1 | 15,73,43,56,10,53,42,102,22
+    Host-Host (4)#2 current 2 | 15,73,43,56,10,53,42,102,22 15,73,43,72,14,69,42,102,22
+    Host-Host (4)#2 at 1 | 15,73,43,56,10,53,42,102,22
+    Host-Host (4)#2 at 2 | 15,73,43,56,10,53,42,102,22 15,73,43,72,14,69,42,102,22
+    Host-Host (4)#2 range 1 | 15,73,43,104,22
+    Host-Host (4)#2 range 2 | 15,73,43,56,10,53,42,102,22 15,73,43,72,14,69,42,102,22
+";
