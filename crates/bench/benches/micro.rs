@@ -2,12 +2,15 @@
 //! interval algebra, snapshot ingestion, the Gremlin wire protocol, and
 //! the profiling overhead (disabled vs. enabled).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nepal_core::engine_over;
 use nepal_graph::{Interval, IntervalSet, SnapshotLoader, SnapshotNode, TemporalGraph};
-use nepal_gremlin::{parse_json, Json};
+use nepal_gremlin::protocol::batch_responses;
+use nepal_gremlin::traversal::evaluate;
+use nepal_gremlin::{parse_json, GStep, Json, PropertyGraph};
 use nepal_rpe::{parse_rpe, plan_rpe, HintEstimator};
 use nepal_schema::dsl::parse_schema;
 use nepal_schema::{Schema, Value};
@@ -53,12 +56,38 @@ fn bench_snapshot(c: &mut Criterion) {
     });
 }
 
+/// One full 64-result response frame of `ExtendBlock` paths: `repeat` +
+/// `path` over a chain where every vertex links to the next two, each
+/// depth-8 path carrying 9 vertices and 8 edges with full properties.
+fn extend_block_frame() -> Json {
+    let mut g = PropertyGraph::new();
+    let props = |i: u64, n: usize| -> BTreeMap<String, Json> {
+        (0..n)
+            .map(|k| (format!("field_{k:02}"), Json::Str(format!("value {i}/{k} héllo \"☃\" {}", "x".repeat(120)))))
+            .collect()
+    };
+    for i in 0..20 {
+        g.add_vertex(i, "Node:Container:VM", props(i, 12));
+    }
+    for i in 0..20 {
+        for d in [1, 2] {
+            if i + d < 20 {
+                g.add_edge(1000 + 2 * i + d, "Edge:Vertical:HostedOn", i, i + d, props(i, 2));
+            }
+        }
+    }
+    let body = vec![GStep::OutE(Some("Edge:Vertical".into())), GStep::InV, GStep::SimplePath];
+    let results = evaluate(&g, &[GStep::V(vec![0]), GStep::Repeat(body, 8, 8), GStep::Path]).unwrap();
+    batch_responses("r-1", results).swap_remove(0)
+}
+
 fn bench_protocol(c: &mut Criterion) {
-    let doc = r#"{"requestId":"r-1","status":{"code":206,"message":""},"result":{"data":[{"id":1,"label":"Node:VM","properties":{"vm_id":55,"status":"Green"}},{"id":2,"label":"Node:Host","properties":{"host_id":7}}],"meta":{}}}"#;
-    c.bench_function("protocol/parse-response-frame", |b| b.iter(|| parse_json(std::hint::black_box(doc)).unwrap()));
-    let j = parse_json(doc).unwrap();
+    let j = extend_block_frame();
+    let doc = j.to_string();
+    // The decoder's cost per byte is ns/iter divided by this size.
+    println!("protocol/*-response-frame: {} bytes", doc.len());
+    c.bench_function("protocol/parse-response-frame", |b| b.iter(|| parse_json(std::hint::black_box(&doc)).unwrap()));
     c.bench_function("protocol/serialize-response-frame", |b| b.iter(|| std::hint::black_box(&j).to_string()));
-    let _ = Json::Null;
 }
 
 fn bench_profiling_overhead(c: &mut Criterion) {

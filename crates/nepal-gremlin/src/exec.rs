@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use nepal_graph::Uid;
 use nepal_obs::SpanHandle;
 use nepal_rpe::{BoundAtom, BoundPred, EvalOptions, Label, Norm, Pathway, RpePlan, Seeds};
-use nepal_schema::{ClassKind, Schema, Ts, Value};
+use nepal_schema::{Schema, Ts, Value};
 
 use crate::client::GremlinClient;
 use crate::graph::label_matches_prefix;
@@ -552,9 +552,4 @@ fn finish(results: HashSet<Vec<u64>>, opts: &EvalOptions, round_trips: u64) -> G
         pathways.truncate(limit);
     }
     GremlinExecResult { pathways, round_trips }
-}
-
-#[allow(unused)]
-fn _kind_used(k: ClassKind) -> bool {
-    k == ClassKind::Node
 }

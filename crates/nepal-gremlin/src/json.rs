@@ -34,6 +34,13 @@ impl Json {
         }
     }
 
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(m) => m.get_mut(key),
+            _ => None,
+        }
+    }
+
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
@@ -142,6 +149,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct P<'a> {
+    text: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -244,6 +252,16 @@ impl<'a> P<'a> {
         self.eat(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy everything up to the next `"` or `\` in one piece. Both
+            // are ASCII, so the run ends on a char boundary of `text` and
+            // each byte is scanned once.
+            let run = self.b[self.i..].iter().position(|&c| c == b'"' || c == b'\\').unwrap_or(self.b.len() - self.i);
+            let chunk = self
+                .text
+                .get(self.i..self.i + run)
+                .ok_or_else(|| JsonError { pos: self.i, msg: "invalid utf8".into() })?;
+            s.push_str(chunk);
+            self.i += run;
             match self.peek() {
                 Some(b'"') => {
                     self.i += 1;
@@ -275,15 +293,7 @@ impl<'a> P<'a> {
                     }
                     self.i += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| JsonError { pos: self.i, msg: "invalid utf8".into() })?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.i += c.len_utf8();
-                }
-                None => return self.err("unterminated string"),
+                _ => return self.err("unterminated string"),
             }
         }
     }
@@ -306,7 +316,7 @@ impl<'a> P<'a> {
 
 /// Parse a JSON document.
 pub fn parse_json(text: &str) -> Result<Json, JsonError> {
-    let mut p = P { b: text.as_bytes(), i: 0 };
+    let mut p = P { text, b: text.as_bytes(), i: 0 };
     let v = p.value()?;
     p.ws();
     if p.i != p.b.len() {

@@ -808,11 +808,6 @@ pub fn serve_in_process_ctl(graph: SharedGraph, ctl: ConnCtl) -> (PipeEnd, Arc<S
     (client, stats)
 }
 
-#[allow(unused)]
-fn _proto_error_is_used(e: ProtoError) -> String {
-    e.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,8 +5,11 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use nepal_gremlin::{parse_json, parse_traversal, GStep, GremlinClient, GremlinServer, PropertyGraph};
+use nepal_gremlin::protocol::batch_responses;
+use nepal_gremlin::traversal::evaluate;
+use nepal_gremlin::{parse_json, parse_traversal, GStep, GremlinClient, GremlinServer, Json, PropertyGraph};
 use parking_lot::RwLock;
 
 fn server() -> GremlinServer {
@@ -39,7 +42,6 @@ fn garbage_bytes_close_the_connection_without_killing_the_server() {
 
 #[test]
 fn truncated_frame_is_detected_by_the_reader() {
-    use nepal_gremlin::Json;
     let msg = nepal_gremlin::protocol::request("r", Json::Arr(vec![]));
     let bytes = nepal_gremlin::protocol::encode_frame(&msg);
     for cut in [0, 1, 5, bytes.len() / 2, bytes.len() - 1] {
@@ -65,7 +67,7 @@ fn oversized_frame_length_rejected() {
 
 #[test]
 fn json_parser_never_panics_on_mutated_documents() {
-    let base = r#"{"requestId":"r-1","status":{"code":206},"result":{"data":[1,2.5,"x",null,true,{"k":[]}]}}"#;
+    let base = r#"{"requestId":"r-1","status":{"code":206},"result":{"data":[1,2.5,"x",null,true,{"k":[]},"h\u00e9 \"q\" ☃ 𝄞"]}}"#;
     let mut state = 0xDEADBEEFu64;
     let mut rng = move || {
         state ^= state << 13;
@@ -93,6 +95,46 @@ fn json_parser_never_panics_on_mutated_documents() {
             let _ = parse_json(&text); // must not panic
         }
     }
+}
+
+/// One full response frame of `ExtendBlock` results: a `repeat` + `path`
+/// over a chain where every vertex links to the next two, so each of the
+/// 256 depth-8 paths carries 9 vertices and 8 edges with full properties.
+fn extend_block_frame() -> Json {
+    let mut g = PropertyGraph::new();
+    let props = |i: u64, n: usize| -> BTreeMap<String, Json> {
+        (0..n)
+            .map(|k| (format!("field_{k:02}"), Json::Str(format!("value {i}/{k} héllo \"☃\" {}", "x".repeat(120)))))
+            .collect()
+    };
+    for i in 0..20 {
+        g.add_vertex(i, "Node:Container:VM", props(i, 12));
+    }
+    for i in 0..20 {
+        for d in [1, 2] {
+            if i + d < 20 {
+                g.add_edge(1000 + 2 * i + d, "Edge:Vertical:HostedOn", i, i + d, props(i, 2));
+            }
+        }
+    }
+    let body = vec![GStep::OutE(Some("Edge:Vertical".into())), GStep::InV, GStep::SimplePath];
+    let results = evaluate(&g, &[GStep::V(vec![0]), GStep::Repeat(body, 8, 8), GStep::Path]).unwrap();
+    batch_responses("r-1", results).swap_remove(0)
+}
+
+#[test]
+fn megabyte_response_frame_decodes_in_linear_time() {
+    let frame = extend_block_frame();
+    assert_eq!(frame.get("result").and_then(|r| r.get("data")).and_then(|d| d.as_arr()).map(|d| d.len()), Some(64));
+    let text = frame.to_string();
+    assert!(text.len() >= 1 << 20, "frame is only {} bytes", text.len());
+    let start = Instant::now();
+    let parsed = parse_json(&text).unwrap();
+    let took = start.elapsed();
+    assert_eq!(parsed, frame);
+    // A linear scan takes well under 100 ms here even in a debug build;
+    // re-validating the rest of the frame per character takes minutes.
+    assert!(took < Duration::from_secs(5), "decoding {} bytes took {took:?}", text.len());
 }
 
 #[test]
@@ -145,7 +187,6 @@ fn malformed_json_payload_gets_a_597_error_frame_not_a_panic() {
 
 #[test]
 fn unsupported_op_gets_a_500_error_frame_not_a_panic() {
-    use nepal_gremlin::Json;
     let server = server();
     let mut conn = server.connect().unwrap();
     let req = Json::obj(vec![
@@ -165,7 +206,6 @@ fn server_survives_mid_request_disconnects() {
     for _ in 0..3 {
         let mut conn = server.connect().unwrap();
         // Write only the first half of a valid frame, then hang up.
-        use nepal_gremlin::Json;
         let msg = nepal_gremlin::protocol::request("r", Json::Arr(vec![]));
         let bytes = nepal_gremlin::protocol::encode_frame(&msg);
         conn.write_all(&bytes[..bytes.len() / 2]).unwrap();

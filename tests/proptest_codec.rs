@@ -1,12 +1,53 @@
 //! Property tests for the canonical value codec (journal persistence) and
 //! the GraphSON-lite JSON codec: arbitrary nested values must round-trip
-//! exactly through both encodings.
+//! exactly through both encodings, and arbitrary JSON documents must
+//! survive `parse_json(&j.to_string())`. Strings mix quotes, backslashes,
+//! control characters and 1- to 4-byte UTF-8 characters, so the string
+//! scanner sees every kind of run boundary.
 
 use nepal::gremlin::json::{json_to_value, value_to_json};
-use nepal::gremlin::parse_json;
+use nepal::gremlin::{parse_json, Json};
 use nepal::schema::codec::{value_from_text, value_to_text};
 use nepal::schema::Value;
 use proptest::prelude::*;
+
+/// One character from each class the JSON string scanner treats
+/// differently: the two delimiters, escaped and raw control characters,
+/// printable ASCII, and multi-byte UTF-8 of every width.
+fn char_strategy() -> impl Strategy<Value = char> {
+    prop_oneof![
+        Just('"'),
+        Just('\\'),
+        (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+        (0x20u32..0x80).prop_map(|c| char::from_u32(c).unwrap()),
+        (0x80u32..0x800).prop_map(|c| char::from_u32(c).unwrap()),
+        // The BMP above U+0800; surrogates map to U+FFFD.
+        (0x800u32..0x1_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+        (0x1_0000u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap()),
+    ]
+}
+
+fn string_strategy() -> impl Strategy<Value = String> {
+    proptest::collection::vec(char_strategy(), 0..12).prop_map(|cs| cs.into_iter().collect())
+}
+
+fn json_strategy() -> impl Strategy<Value = Json> {
+    let leaf = prop_oneof![
+        Just(Json::Null),
+        any::<bool>().prop_map(Json::Bool),
+        // Integers and finite fractions: both print in a form that parses
+        // back to the same f64.
+        (-(1i64 << 53)..(1i64 << 53)).prop_map(|n| Json::Num(n as f64)),
+        (-1e15..1e15f64).prop_map(Json::Num),
+        string_strategy().prop_map(Json::Str),
+    ];
+    leaf.prop_recursive(3, 24, 4, |inner| {
+        prop_oneof![
+            proptest::collection::vec(inner.clone(), 0..4).prop_map(Json::Arr),
+            proptest::collection::btree_map(string_strategy(), inner, 0..4).prop_map(Json::Obj),
+        ]
+    })
+}
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
@@ -16,7 +57,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         // Finite floats only for the JSON codec (NaN is tested separately
         // in the unit tests; JSON numbers cannot carry NaN).
         (-1e15..1e15f64).prop_map(Value::Float),
-        "[ -~]{0,12}".prop_map(Value::Str),
+        string_strategy().prop_map(Value::Str),
         (0i64..2_000_000_000_000_000).prop_map(Value::Ts),
         prop_oneof![
             Just(Value::Ip("10.1.2.3".parse().unwrap())),
@@ -59,6 +100,21 @@ proptest! {
         // assert structural equality, accepting float text round-trip.
         let back = json_to_value(&parsed);
         prop_assert_eq!(normalize(&v), normalize(&back));
+    }
+
+    #[test]
+    fn json_documents_round_trip(j in json_strategy()) {
+        let text = j.to_string();
+        let parsed = parse_json(&text)
+            .unwrap_or_else(|e| panic!("json parse failed: {e} for `{text}`"));
+        prop_assert_eq!(&j, &parsed);
+    }
+
+    #[test]
+    fn unescaped_strings_parse_verbatim(s in string_strategy()) {
+        // Raw control and multi-byte characters are accepted as they are.
+        let raw: String = s.chars().filter(|&c| c != '"' && c != '\\').collect();
+        prop_assert_eq!(parse_json(&format!("\"{raw}\"")), Ok(Json::Str(raw)));
     }
 }
 
