@@ -52,12 +52,7 @@ pub struct QueryRow {
 
 /// Run one query template over a list of instance RPEs.
 fn run_instances(g: &TemporalGraph, rpes: &[String]) -> (usize, f64, f64) {
-    run_instances_opts(g, rpes, &EvalOptions::default())
-}
-
-/// [`run_instances`] with explicit evaluation options (the thread-scaling
-/// sweep varies `EvalOptions::threads`).
-fn run_instances_opts(g: &TemporalGraph, rpes: &[String], opts: &EvalOptions) -> (usize, f64, f64) {
+    let opts = EvalOptions::default();
     let view = GraphView::new(g, TimeFilter::Current);
     let mut total_paths = 0usize;
     let mut total_ms = 0f64;
@@ -66,7 +61,7 @@ fn run_instances_opts(g: &TemporalGraph, rpes: &[String], opts: &EvalOptions) ->
         let rpe = parse_rpe(rpe_text).expect("bench RPE parses");
         let plan = plan_rpe(g.schema(), &rpe, &GraphEstimator { graph: g }).expect("bench RPE plans");
         let t0 = Instant::now();
-        let paths = evaluate(&view, &plan, Seeds::Anchor, opts);
+        let paths = evaluate(&view, &plan, Seeds::Anchor, &opts);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         if paths.is_empty() {
             continue; // §6: zero-result instances are skipped
@@ -324,21 +319,10 @@ pub fn run_storage(legacy_params: LegacyParams) -> Vec<StorageRow> {
     out
 }
 
-/// One measurement of the thread-scaling sweep: a query family evaluated
-/// with a fixed worker-thread count.
-#[derive(Debug, Clone)]
-pub struct ScalingRow {
-    pub table: String,
-    pub name: String,
-    pub threads: usize,
-    pub avg_ms: f64,
-    /// Time at 1 thread / time at this thread count (>1 = faster).
-    pub speedup: f64,
-}
-
-/// Thread counts swept by [`run_scaling`]: {1, 2, 4, all cores},
-/// deduplicated and sorted (a single-core host sweeps {1, 2, 4} — the
-/// overhead of the pool is still measured, the speedup is just flat).
+/// Thread counts `reproduce scaling` passes to [`run_scaling_tiers`]:
+/// {1, 2, 4, all cores}, deduplicated and sorted (a single-core host
+/// sweeps {1, 2, 4} — the overhead of the pool is still measured, the
+/// speedup is just flat).
 pub fn scaling_thread_counts() -> Vec<usize> {
     let max = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut counts = vec![1, 2, 4, max];
@@ -347,113 +331,10 @@ pub fn scaling_thread_counts() -> Vec<usize> {
     counts
 }
 
-fn sweep_families(
-    table: &str,
-    g: &TemporalGraph,
-    families: &[(String, Vec<String>)],
-    counts: &[usize],
-    out: &mut Vec<ScalingRow>,
-) {
-    for (name, rpes) in families {
-        let mut base_ms = 0.0f64;
-        for &t in counts {
-            let opts = EvalOptions { threads: t, ..Default::default() };
-            let (_, _, ms) = run_instances_opts(g, rpes, &opts);
-            if t == 1 {
-                base_ms = ms;
-            }
-            out.push(ScalingRow {
-                table: table.to_string(),
-                name: name.clone(),
-                threads: t,
-                avg_ms: ms,
-                speedup: if ms > 0.0 { base_ms / ms } else { 1.0 },
-            });
-        }
-    }
-}
-
-/// The thread-scaling sweep: every Table-1 family over the virtualized
-/// snapshot plus the Table-2 families over a CI-sized legacy snapshot,
-/// each evaluated at every [`scaling_thread_counts`] setting.
-pub fn run_scaling(instances: usize, seed: u64) -> Vec<ScalingRow> {
-    let counts = scaling_thread_counts();
-    let mut out = Vec::new();
-    let (snap, _) = build_virtualized(seed);
-    let t1 = table1_queries(&snap, instances);
-    sweep_families("table1", &snap.graph, &t1, &counts, &mut out);
-    let legacy = generate_legacy(LegacyParams { nodes: 8000, edges: 36_000, ..Default::default() });
-    let t2 = table2_queries(&legacy, instances.min(8), false, 0.32);
-    sweep_families("table2", &legacy.graph, &t2, &counts, &mut out);
-    out
-}
-
-/// Per-table aggregates of a scaling sweep: `(table, threads, total_ms,
-/// speedup-vs-1-thread)`, in sweep order.
-pub fn scaling_aggregates(rows: &[ScalingRow]) -> Vec<(String, usize, f64, f64)> {
-    let mut out: Vec<(String, usize, f64, f64)> = Vec::new();
-    for r in rows {
-        match out.iter_mut().find(|(t, n, _, _)| *t == r.table && *n == r.threads) {
-            Some(slot) => slot.2 += r.avg_ms,
-            None => out.push((r.table.clone(), r.threads, r.avg_ms, 1.0)),
-        }
-    }
-    for i in 0..out.len() {
-        let base =
-            out.iter().find(|(t, n, _, _)| *t == out[i].0 && *n == 1).map(|(_, _, ms, _)| *ms).unwrap_or(out[i].2);
-        out[i].3 = if out[i].2 > 0.0 { base / out[i].2 } else { 1.0 };
-    }
-    out
-}
-
-/// Render the scaling sweep (and aggregates) for the terminal.
-pub fn format_scaling(rows: &[ScalingRow]) -> String {
-    let mut s = String::new();
-    s.push_str("Thread scaling: anchored evaluation at 1/2/4/all worker threads\n");
-    s.push_str(&format!("{:<8} {:<16} {:>7} {:>12} {:>9}\n", "Table", "Type", "threads", "avg time", "speedup"));
-    for r in rows {
-        s.push_str(&format!(
-            "{:<8} {:<16} {:>7} {:>9.3} ms {:>8.2}x\n",
-            r.table, r.name, r.threads, r.avg_ms, r.speedup
-        ));
-    }
-    s.push_str("\nAggregates (sum of family averages):\n");
-    for (table, threads, ms, speedup) in scaling_aggregates(rows) {
-        s.push_str(&format!("{table:<8} threads={threads:<3} {ms:>9.3} ms {speedup:>8.2}x\n"));
-    }
-    s
-}
-
-/// Render the scaling sweep as the `BENCH_scaling.json` document.
-pub fn scaling_json(rows: &[ScalingRow]) -> String {
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let row_items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"table\":{:?},\"name\":{:?},\"threads\":{},\"avg_ms\":{:.3},\"speedup\":{:.3}}}",
-                r.table, r.name, r.threads, r.avg_ms, r.speedup
-            )
-        })
-        .collect();
-    let agg_items: Vec<String> = scaling_aggregates(rows)
-        .iter()
-        .map(|(table, threads, ms, speedup)| {
-            format!("{{\"table\":{table:?},\"threads\":{threads},\"total_ms\":{ms:.3},\"speedup\":{speedup:.3}}}")
-        })
-        .collect();
-    let counts: Vec<String> = scaling_thread_counts().iter().map(|c| c.to_string()).collect();
-    format!(
-        "{{\n\"host_parallelism\":{host},\n\"thread_counts\":[{}],\n\"rows\":[\n  {}\n],\n\"aggregates\":[\n  {}\n]\n}}\n",
-        counts.join(","),
-        row_items.join(",\n  "),
-        agg_items.join(",\n  ")
-    )
-}
-
-/// Run one instance of each Table-1 query family through a full [`Engine`]
-/// over the virtualized graph and return the engine's metrics (plus the
-/// store gauges) as JSON — the `reproduce --json` BENCH_metrics.json output.
+/// Run one instance of each Table-1 query family through a full
+/// [`Engine`](nepal_core::Engine) over the virtualized graph and return
+/// the engine's metrics (plus the store gauges) as JSON — the
+/// `reproduce --json` BENCH_metrics.json output.
 pub fn metrics_snapshot_json(seed: u64) -> String {
     use nepal_core::{BackendRegistry, Engine, NativeBackend};
     use std::sync::Arc;

@@ -31,7 +31,7 @@ fn plan_for(backend: &dyn Backend, rpe: &str) -> Result<RpePlan> {
 /// implementing that VNF, and all physical servers on which those VMs
 /// run").
 pub fn footprint(
-    backend: &mut dyn Backend,
+    backend: &dyn Backend,
     element: Uid,
     vertical_concept: &str,
     target_concept: &str,
@@ -53,7 +53,7 @@ pub fn footprint(
 /// VNFs affected by the failure of a physical server, one computes the
 /// vertical paths from that server … along the upper layers".
 pub fn shared_fate(
-    backend: &mut dyn Backend,
+    backend: &dyn Backend,
     element: Uid,
     vertical_concept: &str,
     affected_concept: &str,
@@ -91,7 +91,7 @@ pub struct InducedSegment {
 /// between those physical servers."
 #[allow(clippy::too_many_arguments)]
 pub fn induced_paths(
-    backend: &mut dyn Backend,
+    backend: &dyn Backend,
     path: &Pathway,
     vertical_concept: &str,
     target_concept: &str,
@@ -171,22 +171,22 @@ mod tests {
 
     #[test]
     fn footprint_reaches_the_physical_layer() {
-        let (mut b, path, ha, _hb, _) = fixture();
-        let f = footprint(&mut b, path.source(), "Vertical", "Host", 6, TimeFilter::Current).unwrap();
+        let (b, path, ha, _hb, _) = fixture();
+        let f = footprint(&b, path.source(), "Vertical", "Host", 6, TimeFilter::Current).unwrap();
         assert_eq!(f, vec![ha]);
     }
 
     #[test]
     fn shared_fate_walks_upward() {
-        let (mut b, _path, ha, _hb, vnf1) = fixture();
-        let affected = shared_fate(&mut b, ha, "Vertical", "VNF", 6, TimeFilter::Current).unwrap();
+        let (b, _path, ha, _hb, vnf1) = fixture();
+        let affected = shared_fate(&b, ha, "Vertical", "VNF", 6, TimeFilter::Current).unwrap();
         assert_eq!(affected, vec![vnf1]);
     }
 
     #[test]
     fn induced_path_connects_the_footprints() {
-        let (mut b, path, ha, hb, _) = fixture();
-        let segments = induced_paths(&mut b, &path, "Vertical", "Host", 6, "Connects", 4, TimeFilter::Current).unwrap();
+        let (b, path, ha, hb, _) = fixture();
+        let segments = induced_paths(&b, &path, "Vertical", "Host", 6, "Connects", 4, TimeFilter::Current).unwrap();
         assert_eq!(segments.len(), 1);
         let seg = &segments[0];
         assert_eq!(seg.lower_paths.len(), 1);
@@ -197,8 +197,8 @@ mod tests {
 
     #[test]
     fn single_node_pathway_rejected() {
-        let (mut b, _p, ha, _, _) = fixture();
+        let (b, _p, ha, _, _) = fixture();
         let p = Pathway::node(ha);
-        assert!(induced_paths(&mut b, &p, "Vertical", "Host", 6, "Connects", 4, TimeFilter::Current).is_err());
+        assert!(induced_paths(&b, &p, "Vertical", "Host", 6, "Connects", 4, TimeFilter::Current).is_err());
     }
 }

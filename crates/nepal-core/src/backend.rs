@@ -7,22 +7,24 @@
 //! server reached over the wire protocol.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use nepal_graph::{GraphView, TemporalGraph, TimeFilter, Uid};
-use nepal_gremlin::{evaluate_gremlin_spanned, GremlinClient, GremlinTime};
-use nepal_obs::{ExecTrace, MetricsRegistry, OpStats, SpanHandle};
-use nepal_relational::{db_from_graph, evaluate_relational_spanned, RelDb};
+use nepal_gremlin::{evaluate_gremlin, GremlinClient, GremlinTime};
+use nepal_obs::{ExecTrace, OpStats, SpanHandle};
+use nepal_relational::{db_from_graph, evaluate_relational, RelDb};
 use nepal_rpe::anchor::apply_selectivity;
 use nepal_rpe::{BoundAtom, CardinalityEstimator, EvalOptions, Pathway, RpePlan, Seeds};
 use nepal_schema::{ClassId, Schema, Value};
 
 use crate::error::{NepalError, Result};
 
-/// A query-evaluation target. `Send + Sync` so the engine can evaluate
-/// independent range variables against the same backend from scoped
-/// worker threads (see [`Backend::eval_shared`]).
+/// A query-evaluation target. Every method takes `&self`, and the trait is
+/// `Send + Sync`, so the engine can evaluate independent range variables
+/// against the same backend from scoped worker threads. Backends that
+/// keep per-call state (generated code, a wire connection) hold it behind
+/// their own lock.
 pub trait Backend: Send + Sync {
     /// Human-readable backend kind.
     fn kind(&self) -> &'static str;
@@ -30,71 +32,28 @@ pub trait Backend: Send + Sync {
     /// The schema this backend serves.
     fn schema(&self) -> &Arc<Schema>;
 
-    /// Evaluate a planned RPE under a time filter.
-    fn eval(&mut self, plan: &RpePlan, filter: TimeFilter, seeds: Seeds, opts: &EvalOptions) -> Result<Vec<Pathway>>;
-
-    /// Evaluate with a profiling trace attached. Backends that can report
-    /// per-operator statistics override this; the default just delegates
-    /// to [`Backend::eval`] and records nothing.
-    fn eval_traced(
-        &mut self,
-        plan: &RpePlan,
-        filter: TimeFilter,
-        seeds: Seeds,
-        opts: &EvalOptions,
-        _trace: &mut ExecTrace,
-    ) -> Result<Vec<Pathway>> {
-        self.eval(plan, filter, seeds, opts)
-    }
-
-    /// Evaluate with full observability: an optional profiling trace plus a
-    /// span to hang operator child spans off. The default routes to
-    /// [`Backend::eval_traced`]/[`Backend::eval`] and ignores the span;
-    /// backends with spanned evaluators override this.
+    /// Evaluate a planned RPE under a time filter with full observability:
+    /// an optional profiling trace (per-operator statistics and counters)
+    /// plus a span to hang operator child spans off. Cancellation, the
+    /// resource meter and the metrics registry travel in `opts`.
     fn eval_obs(
-        &mut self,
+        &self,
         plan: &RpePlan,
         filter: TimeFilter,
         seeds: Seeds,
         opts: &EvalOptions,
         trace: Option<&mut ExecTrace>,
-        _span: &SpanHandle,
-    ) -> Result<Vec<Pathway>> {
-        match trace {
-            Some(t) => self.eval_traced(plan, filter, seeds, opts, t),
-            None => self.eval(plan, filter, seeds, opts),
-        }
-    }
+        span: &SpanHandle,
+    ) -> Result<Vec<Pathway>>;
 
-    /// Whether this backend can evaluate through a shared reference
-    /// ([`Backend::eval_shared`]), allowing the engine to run several
-    /// range variables against it concurrently.
-    fn supports_shared_eval(&self) -> bool {
-        false
+    /// [`Backend::eval_obs`] with no trace and no span.
+    fn eval(&self, plan: &RpePlan, filter: TimeFilter, seeds: Seeds, opts: &EvalOptions) -> Result<Vec<Pathway>> {
+        self.eval_obs(plan, filter, seeds, opts, None, &SpanHandle::none())
     }
-
-    /// Evaluate through `&self` (no translator state to mutate). Backends
-    /// that buffer generated code or wire statistics per call cannot offer
-    /// this; the native store can.
-    fn eval_shared(
-        &self,
-        _plan: &RpePlan,
-        _filter: TimeFilter,
-        _seeds: Seeds,
-        _opts: &EvalOptions,
-        _span: &SpanHandle,
-    ) -> Result<Vec<Pathway>> {
-        Err(NepalError::Unsupported("backend does not support shared-reference evaluation".into()))
-    }
-
-    /// Attach the engine's metrics registry so evaluation-level counters
-    /// (parallel chunks, steals, worker busy time) land in engine metrics.
-    /// Default: ignore.
-    fn attach_metrics(&mut self, _metrics: &Arc<MetricsRegistry>) {}
 
     /// Field values (and runtime class) of an element, for Select
     /// post-processing.
-    fn fields(&mut self, uid: Uid, filter: TimeFilter) -> Option<(ClassId, Vec<Value>)>;
+    fn fields(&self, uid: Uid, filter: TimeFilter) -> Option<(ClassId, Vec<Value>)>;
 
     /// Cardinality estimate for anchor costing.
     fn estimate(&self, atom: &BoundAtom) -> f64;
@@ -113,12 +72,11 @@ pub trait Backend: Send + Sync {
 /// Backend over the in-process temporal graph store.
 pub struct NativeBackend {
     pub graph: Arc<TemporalGraph>,
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl NativeBackend {
     pub fn new(graph: Arc<TemporalGraph>) -> Self {
-        NativeBackend { graph, metrics: None }
+        NativeBackend { graph }
     }
 }
 
@@ -131,25 +89,8 @@ impl Backend for NativeBackend {
         self.graph.schema()
     }
 
-    fn eval(&mut self, plan: &RpePlan, filter: TimeFilter, seeds: Seeds, opts: &EvalOptions) -> Result<Vec<Pathway>> {
-        let view = GraphView::new(&self.graph, filter);
-        Ok(nepal_rpe::evaluate(&view, plan, seeds, opts))
-    }
-
-    fn eval_traced(
-        &mut self,
-        plan: &RpePlan,
-        filter: TimeFilter,
-        seeds: Seeds,
-        opts: &EvalOptions,
-        trace: &mut ExecTrace,
-    ) -> Result<Vec<Pathway>> {
-        let view = GraphView::new(&self.graph, filter);
-        Ok(nepal_rpe::evaluate_traced(&view, plan, seeds, opts, Some(trace)))
-    }
-
     fn eval_obs(
-        &mut self,
+        &self,
         plan: &RpePlan,
         filter: TimeFilter,
         seeds: Seeds,
@@ -158,32 +99,10 @@ impl Backend for NativeBackend {
         span: &SpanHandle,
     ) -> Result<Vec<Pathway>> {
         let view = GraphView::new(&self.graph, filter);
-        nepal_rpe::evaluate_metered(&view, plan, seeds, opts, trace, span, self.metrics.as_deref())
-            .map_err(NepalError::from)
+        nepal_rpe::evaluate_obs(&view, plan, seeds, opts, trace, span).map_err(NepalError::from)
     }
 
-    fn supports_shared_eval(&self) -> bool {
-        true
-    }
-
-    fn eval_shared(
-        &self,
-        plan: &RpePlan,
-        filter: TimeFilter,
-        seeds: Seeds,
-        opts: &EvalOptions,
-        span: &SpanHandle,
-    ) -> Result<Vec<Pathway>> {
-        let view = GraphView::new(&self.graph, filter);
-        nepal_rpe::evaluate_metered(&view, plan, seeds, opts, None, span, self.metrics.as_deref())
-            .map_err(NepalError::from)
-    }
-
-    fn attach_metrics(&mut self, metrics: &Arc<MetricsRegistry>) {
-        self.metrics = Some(metrics.clone());
-    }
-
-    fn fields(&mut self, uid: Uid, filter: TimeFilter) -> Option<(ClassId, Vec<Value>)> {
+    fn fields(&self, uid: Uid, filter: TimeFilter) -> Option<(ClassId, Vec<Value>)> {
         let class = self.graph.class_of(uid)?;
         let view = GraphView::new(&self.graph, filter);
         let fields = view.fields(uid)?.to_vec();
@@ -203,14 +122,16 @@ impl Backend for NativeBackend {
 pub struct RelationalBackend {
     pub db: RelDb,
     schema: Arc<Schema>,
-    last_sql: Vec<String>,
+    /// Only ever replaced whole, so a poisoned lock still guards a
+    /// complete script and is recovered.
+    last_sql: Mutex<Vec<String>>,
 }
 
 impl RelationalBackend {
     /// Load a temporal graph into a fresh relational database.
     pub fn from_graph(graph: &TemporalGraph) -> Result<Self> {
         let db = db_from_graph(graph).map_err(|e| NepalError::Backend(e.to_string()))?;
-        Ok(RelationalBackend { db, schema: graph.schema().clone(), last_sql: Vec::new() })
+        Ok(RelationalBackend { db, schema: graph.schema().clone(), last_sql: Mutex::new(Vec::new()) })
     }
 }
 
@@ -223,23 +144,8 @@ impl Backend for RelationalBackend {
         &self.schema
     }
 
-    fn eval(&mut self, plan: &RpePlan, filter: TimeFilter, seeds: Seeds, opts: &EvalOptions) -> Result<Vec<Pathway>> {
-        self.eval_obs(plan, filter, seeds, opts, None, &SpanHandle::none())
-    }
-
-    fn eval_traced(
-        &mut self,
-        plan: &RpePlan,
-        filter: TimeFilter,
-        seeds: Seeds,
-        opts: &EvalOptions,
-        trace: &mut ExecTrace,
-    ) -> Result<Vec<Pathway>> {
-        self.eval_obs(plan, filter, seeds, opts, Some(trace), &SpanHandle::none())
-    }
-
     fn eval_obs(
-        &mut self,
+        &self,
         plan: &RpePlan,
         filter: TimeFilter,
         seeds: Seeds,
@@ -248,13 +154,12 @@ impl Backend for RelationalBackend {
         span: &SpanHandle,
     ) -> Result<Vec<Pathway>> {
         let t0 = trace.is_some().then(Instant::now);
-        let res = evaluate_relational_spanned(&self.db, &self.schema, plan, filter, seeds, opts, span).map_err(
-            |e| match e {
+        let res =
+            evaluate_relational(&self.db, &self.schema, plan, filter, seeds, opts, span).map_err(|e| match e {
                 nepal_relational::RelError::DeadlineExceeded => NepalError::DeadlineExceeded,
                 nepal_relational::RelError::Cancelled => NepalError::Cancelled,
                 other => NepalError::Backend(other.to_string()),
-            },
-        )?;
+            })?;
         if let Some(trace) = trace {
             trace.bump("rel_rows_scanned", res.rows_scanned);
             trace.bump("rel_rows_joined", res.rows_joined);
@@ -266,11 +171,11 @@ impl Backend for RelationalBackend {
         }
         span.attr("rows_scanned", res.rows_scanned);
         span.attr("rows_joined", res.rows_joined);
-        self.last_sql = res.sql;
+        *self.last_sql.lock().unwrap_or_else(PoisonError::into_inner) = res.sql;
         Ok(res.pathways)
     }
 
-    fn fields(&mut self, uid: Uid, filter: TimeFilter) -> Option<(ClassId, Vec<Value>)> {
+    fn fields(&self, uid: Uid, filter: TimeFilter) -> Option<(ClassId, Vec<Value>)> {
         // The owner index names the one class table (plus its history)
         // that holds the uid's versions.
         let owner = self.db.owner(uid.0)?;
@@ -305,7 +210,7 @@ impl Backend for RelationalBackend {
     }
 
     fn last_generated(&self) -> Vec<String> {
-        self.last_sql.clone()
+        self.last_sql.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }
 
@@ -313,27 +218,21 @@ impl Backend for RelationalBackend {
 // Gremlin backend
 // ---------------------------------------------------------------------
 
-/// Backend over a Gremlin server (in-process or TCP transport).
+/// Backend over a Gremlin server (in-process or TCP transport). The client
+/// connection sits behind a lock, so concurrent evaluations against one
+/// backend take turns on the wire.
 pub struct GremlinBackend<T: nepal_gremlin::server::Transport> {
-    pub client: GremlinClient<T>,
+    client: Mutex<GremlinClient<T>>,
     schema: Arc<Schema>,
-    /// Apply the ExtendBlock loop-unrolling optimization (§5.2).
-    pub use_extend_block: bool,
-    last_trips: u64,
 }
 
 impl<T: nepal_gremlin::server::Transport> GremlinBackend<T> {
     pub fn new(client: GremlinClient<T>, schema: Arc<Schema>) -> Self {
-        GremlinBackend { client, schema, use_extend_block: true, last_trips: 0 }
-    }
-
-    /// Round trips used by the last evaluation.
-    pub fn last_round_trips(&self) -> u64 {
-        self.last_trips
+        GremlinBackend { client: Mutex::new(client), schema }
     }
 }
 
-impl<T: nepal_gremlin::server::Transport + Sync> Backend for GremlinBackend<T> {
+impl<T: nepal_gremlin::server::Transport> Backend for GremlinBackend<T> {
     fn kind(&self) -> &'static str {
         "gremlin"
     }
@@ -342,23 +241,8 @@ impl<T: nepal_gremlin::server::Transport + Sync> Backend for GremlinBackend<T> {
         &self.schema
     }
 
-    fn eval(&mut self, plan: &RpePlan, filter: TimeFilter, seeds: Seeds, opts: &EvalOptions) -> Result<Vec<Pathway>> {
-        self.eval_obs(plan, filter, seeds, opts, None, &SpanHandle::none())
-    }
-
-    fn eval_traced(
-        &mut self,
-        plan: &RpePlan,
-        filter: TimeFilter,
-        seeds: Seeds,
-        opts: &EvalOptions,
-        trace: &mut ExecTrace,
-    ) -> Result<Vec<Pathway>> {
-        self.eval_obs(plan, filter, seeds, opts, Some(trace), &SpanHandle::none())
-    }
-
     fn eval_obs(
-        &mut self,
+        &self,
         plan: &RpePlan,
         filter: TimeFilter,
         seeds: Seeds,
@@ -375,30 +259,26 @@ impl<T: nepal_gremlin::server::Transport + Sync> Backend for GremlinBackend<T> {
                 ))
             }
         };
-        let before = trace.is_some().then(|| self.client.wire_stats());
+        // A panic mid-request can leave the connection inside a response,
+        // so a poisoned client is not reused.
+        let mut client = self
+            .client
+            .lock()
+            .map_err(|_| NepalError::Backend("Gremlin client unusable: an earlier request panicked".into()))?;
+        let before = trace.is_some().then(|| client.wire_stats());
         let t0 = trace.is_some().then(Instant::now);
-        let res = evaluate_gremlin_spanned(
-            &mut self.client,
-            &self.schema,
-            plan,
-            time,
-            seeds,
-            opts,
-            self.use_extend_block,
-            span,
-        )
-        .map_err(|e| NepalError::Backend(e.to_string()))?;
-        self.last_trips = res.round_trips;
+        let res = evaluate_gremlin(&mut client, &self.schema, plan, time, seeds, opts, true, span)
+            .map_err(|e| NepalError::Backend(e.to_string()))?;
         span.attr("round_trips", res.round_trips);
         if let (Some(trace), Some(before), Some(t0)) = (trace, before, t0) {
-            let after = self.client.wire_stats();
+            let after = client.wire_stats();
             trace.bump("gremlin_requests", after.requests - before.requests);
             trace.bump("gremlin_frames_sent", after.frames_sent - before.frames_sent);
             trace.bump("gremlin_frames_received", after.frames_received - before.frames_received);
             trace.bump("gremlin_bytes_sent", after.bytes_sent - before.bytes_sent);
             trace.bump("gremlin_bytes_received", after.bytes_received - before.bytes_received);
             trace.bump("gremlin_partial_batches", after.partial_batches - before.partial_batches);
-            trace.bump("gremlin_round_trips", self.last_trips);
+            trace.bump("gremlin_round_trips", res.round_trips);
             let mut op = OpStats::new("Select+Extend", "Gremlin traversals over the wire");
             op.rows_in = after.requests - before.requests;
             op.rows_out = res.pathways.len() as u64;
@@ -408,10 +288,12 @@ impl<T: nepal_gremlin::server::Transport + Sync> Backend for GremlinBackend<T> {
         Ok(res.pathways)
     }
 
-    fn fields(&mut self, uid: Uid, _filter: TimeFilter) -> Option<(ClassId, Vec<Value>)> {
+    fn fields(&self, uid: Uid, _filter: TimeFilter) -> Option<(ClassId, Vec<Value>)> {
         use nepal_gremlin::{GStep, Json};
-        let results = self.client.submit(&[GStep::V(vec![uid.0])]).ok()?;
-        let results = if results.is_empty() { self.client.submit(&[GStep::E(vec![uid.0])]).ok()? } else { results };
+        let mut client = self.client.lock().ok()?;
+        let results = client.submit(&[GStep::V(vec![uid.0])]).ok()?;
+        let results = if results.is_empty() { client.submit(&[GStep::E(vec![uid.0])]).ok()? } else { results };
+        drop(client);
         let j = results.first()?;
         let label = j.get("label")?.as_str()?;
         let class = self.schema.class_by_name(label)?;
@@ -443,7 +325,6 @@ impl<T: nepal_gremlin::server::Transport + Sync> Backend for GremlinBackend<T> {
 pub struct BackendRegistry {
     backends: HashMap<String, Box<dyn Backend>>,
     default: String,
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl BackendRegistry {
@@ -451,23 +332,11 @@ impl BackendRegistry {
         let default = default_name.into();
         let mut backends = HashMap::new();
         backends.insert(default.clone(), backend);
-        BackendRegistry { backends, default, metrics: None }
+        BackendRegistry { backends, default }
     }
 
     pub fn add(&mut self, name: impl Into<String>, backend: Box<dyn Backend>) {
-        let mut backend = backend;
-        if let Some(m) = &self.metrics {
-            backend.attach_metrics(m);
-        }
         self.backends.insert(name.into(), backend);
-    }
-
-    /// Attach a metrics registry to every current and future backend.
-    pub fn attach_metrics(&mut self, metrics: &Arc<MetricsRegistry>) {
-        for b in self.backends.values_mut() {
-            b.attach_metrics(metrics);
-        }
-        self.metrics = Some(metrics.clone());
     }
 
     pub fn default_name(&self) -> &str {

@@ -197,9 +197,8 @@ fn cancel_to_err(cause: CancelCause) -> NepalError {
 const ENGINE_CANCEL_MASK: u64 = 0x3FF; // every 1024 rows
 
 impl Engine {
-    pub fn new(mut registry: BackendRegistry) -> Engine {
+    pub fn new(registry: BackendRegistry) -> Engine {
         let metrics = Arc::new(MetricsRegistry::new());
-        registry.attach_metrics(&metrics);
         let feedback = Arc::new(EstimateFeedback::with_metrics(&metrics));
         Engine {
             registry,
@@ -300,40 +299,29 @@ impl Engine {
     /// Parse and execute a query, recording engine metrics. When the
     /// engine's tracer is enabled, the whole call becomes one hierarchical
     /// trace (parse → plan → execute, down to backend operator spans).
+    ///
+    /// With the durable query log or statement statistics enabled, every
+    /// query takes the profiled path — the log needs per-operator actuals
+    /// and the stats table needs the resource meter. When both are off
+    /// (the default) this costs two `Option` checks.
     pub fn query(&mut self, text: &str) -> Result<QueryResult> {
-        // With the durable query log or statement statistics enabled,
-        // every query takes the profiled path — the log needs
-        // per-operator actuals and the stats table needs the resource
-        // meter. When both are off (the default) this branch is two
-        // `Option` checks and the hot path below is exactly the
-        // pre-instrumentation code.
-        if self.qlog.is_some() || self.stmt.is_some() {
-            return self.query_profiled(text).map(|(r, _)| r);
-        }
-        if nepal_obs::flight::recorder().is_enabled() {
-            nepal_obs::flight::emit(nepal_obs::FlightKind::QueryStart, fingerprint(text), 0, 0, "");
-        }
-        let root = self.tracer.start_trace(text);
-        let trace_id = root.trace_id();
-        let t0 = Instant::now();
-        let parse_span = root.child("parse");
-        let parsed = parse_query(text);
-        drop(parse_span);
-        let result = parsed.and_then(|q| self.execute_inner(&q, None, &root));
-        let total_ns = t0.elapsed().as_nanos() as u64;
-        if let Ok(r) = &result {
-            root.attr("rows", r.rows.len());
-        }
-        self.record_query_metrics(text, total_ns, result.as_ref().ok().map(|r| r.rows.len() as u64), trace_id);
-        if let Err(e) = &result {
-            self.note_cancellation_metrics(e);
-        }
-        result
+        let profiled = self.qlog.is_some() || self.stmt.is_some();
+        self.run(text, profiled).map(|(r, _)| r)
     }
 
     /// Parse and execute a query with full profiling (the `EXPLAIN ANALYZE`
     /// path): phase timings, anchor candidates, per-operator statistics.
     pub fn query_profiled(&mut self, text: &str) -> Result<(QueryResult, QueryProfile)> {
+        self.run(text, true)
+    }
+
+    /// The query pipeline behind [`Engine::query`] and
+    /// [`Engine::query_profiled`]: flight events, the trace root, the parse
+    /// span, engine metrics and cancellation counters for every query; the
+    /// profile, resource meter, statement stats, estimate feedback and
+    /// query log only when `profiled`. Unprofiled, the returned profile is
+    /// empty.
+    fn run(&mut self, text: &str, profiled: bool) -> Result<(QueryResult, QueryProfile)> {
         if nepal_obs::flight::recorder().is_enabled() {
             nepal_obs::flight::emit(nepal_obs::FlightKind::QueryStart, fingerprint(text), 0, 0, "");
         }
@@ -343,24 +331,19 @@ impl Engine {
         let parse_span = root.child("parse");
         let parsed = parse_query(text);
         drop(parse_span);
-        let parse_ns = t0.elapsed().as_nanos() as u64;
-        let outcome = parsed.and_then(|q| {
-            let mut profile = QueryProfile::default();
-            let te = Instant::now();
-            let result = self.execute_inner(&q, Some(&mut profile), &root)?;
-            profile.total_ns = te.elapsed().as_nanos() as u64;
-            profile.result_rows = result.rows.len() as u64;
-            Ok((result, profile))
-        });
+        let parse_ns = if profiled { t0.elapsed().as_nanos() as u64 } else { 0 };
+        let mut profile = QueryProfile::default();
+        let result = parsed.and_then(|q| self.execute_inner(&q, profiled.then_some(&mut profile), &root));
         let total_ns = t0.elapsed().as_nanos() as u64;
-        if let Ok((r, _)) = &outcome {
+        if let Ok(r) = &result {
             root.attr("rows", r.rows.len());
         }
-        self.record_query_metrics(text, total_ns, outcome.as_ref().ok().map(|(r, _)| r.rows.len() as u64), trace_id);
-        let threads = resolved_threads(self.eval_options.threads) as u64;
+        self.record_query_metrics(text, total_ns, result.as_ref().ok().map(|r| r.rows.len() as u64), trace_id);
+        // Only a profiled outermost execution creates a meter.
         let meter_snap = self.cur_meter.take().map(|m| m.snapshot());
-        let (result, mut profile) = match outcome {
-            Ok(v) => v,
+        let threads = resolved_threads(self.eval_options.threads) as u64;
+        let result = match result {
+            Ok(r) => r,
             Err(e) => {
                 self.note_cancellation_metrics(&e);
                 if let Some(stmt) = &self.stmt {
@@ -381,9 +364,13 @@ impl Engine {
                 return Err(e);
             }
         };
+        if !profiled {
+            return Ok((result, profile));
+        }
         profile.query = text.to_string();
         profile.parse_ns = parse_ns;
         profile.total_ns = total_ns;
+        profile.result_rows = result.rows.len() as u64;
         profile.meter = meter_snap;
         if let Some(stmt) = &self.stmt {
             stmt.record(
@@ -461,22 +448,11 @@ impl Engine {
         }
     }
 
-    /// Execute a parsed query.
+    /// Execute a parsed query outside the query pipeline: no query
+    /// metrics, trace or profile. Used for views, decorrelated `EXISTS`
+    /// subqueries and the REPL.
     pub fn execute(&mut self, q: &Query) -> Result<QueryResult> {
         self.execute_inner(q, None, &SpanHandle::none())
-    }
-
-    /// Execute a parsed query, collecting a [`QueryProfile`].
-    pub fn execute_profiled(&mut self, q: &Query) -> Result<(QueryResult, QueryProfile)> {
-        let mut profile = QueryProfile::default();
-        let t0 = Instant::now();
-        let result = self.execute_inner(q, Some(&mut profile), &SpanHandle::none());
-        let meter_snap = self.cur_meter.take().map(|m| m.snapshot());
-        let result = result?;
-        profile.total_ns = t0.elapsed().as_nanos() as u64;
-        profile.result_rows = result.rows.len() as u64;
-        profile.meter = meter_snap;
-        Ok((result, profile))
     }
 
     fn execute_inner(
@@ -503,6 +479,7 @@ impl Engine {
             self.cur_meter = Some(ResourceMeter::new());
         }
         qopts.meter = self.cur_meter.clone();
+        qopts.metrics = Some(self.metrics.clone());
         let qopts = qopts;
         let mut cancel_ctr = 0u64;
 
@@ -630,29 +607,24 @@ impl Engine {
 
         let mut evaluated: HashSet<String> = HashSet::new();
         // When the query ranges over several independent variables (no
-        // anchor-import links between path ends), there is no profiling
-        // trace to thread through, and every involved backend can evaluate
-        // through a shared reference, fan the per-variable evaluations out
+        // anchor-import links between path ends) and there is no profiling
+        // trace to thread through, fan the per-variable evaluations out
         // over scoped threads. Results are identical to the sequential
         // path — each variable's evaluation is already deterministic — only
-        // wall-clock time changes.
+        // wall-clock time changes. Variables on a backend that serialises
+        // its own calls (the Gremlin client lock) take turns.
         let pending: Vec<usize> = order.iter().copied().filter(|&i| !evals[i].prefilled).collect();
-        let fan_out = threads > 1
-            && !profiled
-            && end_links.is_empty()
-            && pending.len() >= 2
-            && pending
-                .iter()
-                .all(|&i| self.registry.get(evals[i].backend.as_deref()).is_ok_and(|b| b.supports_shared_eval()));
+        let fan_out = threads > 1 && !profiled && end_links.is_empty() && pending.len() >= 2;
         if fan_out {
             exec_span.attr("parallel_vars", pending.len());
             let opts = &qopts;
+            let backends =
+                pending.iter().map(|&i| self.registry.get(evals[i].backend.as_deref())).collect::<Result<Vec<_>>>()?;
             let mut outs: Vec<(usize, Result<Vec<Pathway>>)> = Vec::with_capacity(pending.len());
             std::thread::scope(|s| {
                 let mut handles = Vec::with_capacity(pending.len());
-                for &i in &pending {
+                for (&i, backend) in pending.iter().zip(backends) {
                     let e = &evals[i];
-                    let backend = self.registry.get(e.backend.as_deref()).expect("eligibility checked above");
                     let var_span = exec_span.child(&format!("eval:{}", e.var));
                     var_span.attr("backend", backend.kind());
                     let plan = e.plan.as_ref().expect("non-view variables have plans");
@@ -660,7 +632,7 @@ impl Engine {
                     handles.push((
                         i,
                         s.spawn(move || {
-                            let r = backend.eval_shared(plan, filter, Seeds::Anchor, opts, &var_span);
+                            let r = backend.eval_obs(plan, filter, Seeds::Anchor, opts, None, &var_span);
                             if let Ok(p) = &r {
                                 var_span.attr("pathways", p.len());
                             }
@@ -724,7 +696,7 @@ impl Engine {
             };
             let e = &evals[i];
             let plan = e.plan.as_ref().expect("non-view variables have plans");
-            let backend = self.registry.get_mut(e.backend.as_deref())?;
+            let backend = self.registry.get(e.backend.as_deref())?;
             let seeds = if use_seeds {
                 let (end, uids) = seed_nodes.as_ref().unwrap();
                 match end {
@@ -1092,7 +1064,7 @@ impl Engine {
                     PathFn::Source => p.source(),
                     PathFn::Target => p.target(),
                 };
-                let b = self.registry.get_mut(backend)?;
+                let b = self.registry.get(backend)?;
                 let schema = b.schema().clone();
                 match b.fields(uid, filter) {
                     None => Ok(Value::Null),

@@ -323,12 +323,12 @@ fn length_function_and_literals() {
 #[test]
 fn unsupported_range_on_gremlin_backend_is_clear_error() {
     use nepal_core::{BackendRegistry, GremlinBackend};
-    use nepal_gremlin::{property_graph_from, serve_in_process, GremlinClient};
+    use nepal_gremlin::{property_graph_from, serve_in_process, ConnCtl, GremlinClient};
     use parking_lot::RwLock;
 
     let fx = fixture();
     let pg = Arc::new(RwLock::new(property_graph_from(&fx.g)));
-    let client = GremlinClient::new(serve_in_process(pg));
+    let client = GremlinClient::new(serve_in_process(pg, ConnCtl::default()).0);
     let backend = GremlinBackend::new(client, fx.g.schema().clone());
     let mut eng = Engine::new(BackendRegistry::new("gremlin", Box::new(backend)));
     let err = eng
@@ -345,12 +345,12 @@ fn cross_backend_federation_join() {
     // Data integration: D1 from the native store, Phys from a Gremlin
     // server — joined in the shim layer.
     use nepal_core::{BackendRegistry, GremlinBackend, NativeBackend};
-    use nepal_gremlin::{property_graph_from, serve_in_process, GremlinClient};
+    use nepal_gremlin::{property_graph_from, serve_in_process, ConnCtl, GremlinClient};
     use parking_lot::RwLock;
 
     let fx = fixture();
     let pg = Arc::new(RwLock::new(property_graph_from(&fx.g)));
-    let client = GremlinClient::new(serve_in_process(pg));
+    let client = GremlinClient::new(serve_in_process(pg, ConnCtl::default()).0);
     let gremlin = GremlinBackend::new(client, fx.g.schema().clone());
     let mut registry = BackendRegistry::new("native", Box::new(NativeBackend::new(fx.g.clone())));
     registry.add("inventory2", Box::new(gremlin));

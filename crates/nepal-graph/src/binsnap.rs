@@ -16,7 +16,7 @@
 //! independently and in parallel. Version payloads preserve the store's
 //! keyframe/delta representation verbatim — no materialization on save, no
 //! re-encoding on load, and per-class byte accounting round-trips exactly.
-//! Version spans are chain-delta-coded (see [`encode_version`]). The final
+//! Version spans are chain-delta-coded (see `encode_version`). The final
 //! block is a trailer carrying entity/version totals.
 //!
 //! Recovery mirrors the journal's lenient contract: a torn tail (truncated

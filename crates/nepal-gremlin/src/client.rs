@@ -326,7 +326,7 @@ impl Channel {
 mod tests {
     use super::*;
     use crate::graph::PropertyGraph;
-    use crate::server::{serve_in_process, GremlinServer};
+    use crate::server::{serve_in_process, ConnCtl, GremlinServer};
     use parking_lot::RwLock;
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn client_assembles_partial_frames() {
         // 200 vertices → 4 frames of ≤64 at the protocol layer.
-        let mut client = GremlinClient::new(serve_in_process(shared()));
+        let mut client = GremlinClient::new(serve_in_process(shared(), ConnCtl::default()).0);
         let results = client.submit(&[GStep::V(vec![]), GStep::Id]).unwrap();
         assert_eq!(results.len(), 200);
         assert_eq!(client.round_trips, 1);
@@ -350,7 +350,7 @@ mod tests {
 
     #[test]
     fn server_error_surfaces_as_proto_error() {
-        let mut client = GremlinClient::new(serve_in_process(shared()));
+        let mut client = GremlinClient::new(serve_in_process(shared(), ConnCtl::default()).0);
         let err = client.submit(&[GStep::InV]).unwrap_err();
         assert!(matches!(err, ProtoError::Server(_)));
         // The connection survives the error.
@@ -394,7 +394,7 @@ mod tests {
                     failures_left -= 1;
                     return Err(std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "flaky"));
                 }
-                Ok(serve_in_process(g.clone()))
+                Ok(serve_in_process(g.clone(), ConnCtl::default()).0)
             },
             RetryPolicy {
                 max_attempts: 4,
@@ -427,7 +427,8 @@ mod tests {
     #[test]
     fn retrying_client_does_not_retry_evaluation_errors() {
         let g = shared();
-        let mut client = RetryingClient::new(move || Ok(serve_in_process(g.clone())), RetryPolicy::default());
+        let mut client =
+            RetryingClient::new(move || Ok(serve_in_process(g.clone(), ConnCtl::default()).0), RetryPolicy::default());
         // InV without V() is a server-side evaluation error: permanent.
         let err = client.submit(&[GStep::InV]).unwrap_err();
         assert!(matches!(err, ProtoError::Server(_)));

@@ -346,23 +346,12 @@ fn extend_block_shape(plan: &RpePlan) -> Option<(u32, u32, u32, u32, u32)> {
     Some((first, edge_atom?, min, max, last))
 }
 
-/// Evaluate a planned RPE against a Gremlin server.
-pub fn evaluate_gremlin<T: Transport>(
-    client: &mut GremlinClient<T>,
-    schema: &Schema,
-    plan: &RpePlan,
-    time: GremlinTime,
-    seeds: Seeds,
-    opts: &EvalOptions,
-    use_extend_block: bool,
-) -> Result<GremlinExecResult, ProtoError> {
-    evaluate_gremlin_spanned(client, schema, plan, time, seeds, opts, use_extend_block, &SpanHandle::none())
-}
-
-/// [`evaluate_gremlin`] under a live span: every protocol round trip
-/// becomes a child span, with server-reported phases grafted in.
+/// Evaluate a planned RPE against a Gremlin server under `span`: every
+/// protocol round trip becomes a child span, with server-reported phases
+/// grafted in. Pass [`SpanHandle::none`] to record nothing.
+/// `use_extend_block` enables the §5.2 ExtendBlock fast path.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_gremlin_spanned<T: Transport>(
+pub fn evaluate_gremlin<T: Transport>(
     client: &mut GremlinClient<T>,
     schema: &Schema,
     plan: &RpePlan,

@@ -26,15 +26,14 @@ pub mod server;
 pub mod traversal;
 
 pub use client::{Channel, GremlinClient, RetryPolicy, RetryingClient, WireStats};
-pub use exec::{evaluate_gremlin, evaluate_gremlin_spanned, GremlinExecResult, GremlinTime};
+pub use exec::{evaluate_gremlin, GremlinExecResult, GremlinTime};
 pub use graph::{label_matches_prefix, GEdge, GVertex, PropertyGraph};
 pub use json::{parse_json, Json};
 pub use lang::{parse_traversal, LangError};
 pub use load::{property_graph_from, OPEN_TS};
 pub use protocol::{overload_response, FrameReader, ProtoError, MIME};
 pub use server::{
-    attach_server_timing, pipe_pair, serve_connection_ctl, serve_connection_traced, serve_in_process,
-    serve_in_process_ctl, serve_in_process_stats, serve_in_process_traced, shared_graph, ConnCtl, DrainReport,
+    attach_server_timing, pipe_pair, serve_connection, serve_in_process, shared_graph, ConnCtl, DrainReport,
     GremlinServer, ServeConfig, ServerStats, SharedGraph, CHAOS_PANIC_REQUEST_ID,
 };
 pub use traversal::{bytecode_from_json, bytecode_to_json, evaluate_cancel, EvalError, GCmp, GStep};

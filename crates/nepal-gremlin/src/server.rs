@@ -110,9 +110,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Per-connection serving controls: the drain signal pair plus the
-/// per-request deadline. All fields default to "off", which reproduces the
-/// legacy serve-until-EOF behavior.
+/// Per-connection serving controls: the drain signal pair, the
+/// per-request deadline, and the optional sinks. All fields default to
+/// "off", which serves until EOF with no deadline and no tracing.
 #[derive(Debug, Clone, Default)]
 pub struct ConnCtl {
     /// Soft drain: when set and true, the connection stops reading new
@@ -126,6 +126,9 @@ pub struct ConnCtl {
     /// Statement-stats table recording every served request (see
     /// [`ServeConfig::stmt`]).
     pub stmt: Option<Arc<nepal_obs::StmtStats>>,
+    /// When set, every request records its own server-side trace
+    /// (`gremlin:request` on the server track) into this tracer's ring.
+    pub tracer: Option<Tracer>,
 }
 
 impl ConnCtl {
@@ -158,27 +161,69 @@ pub fn shared_graph(pg: PropertyGraph) -> SharedGraph {
 }
 
 /// Handle one request message, producing the full response frame sequence.
-pub fn handle_request(graph: &SharedGraph, req: &Json) -> Vec<Json> {
-    handle_request_timed(graph, req, None)
-}
-
-/// [`handle_request`] optionally recording per-phase timings as
-/// `(name, offset_ns, dur_ns)` triples relative to request receipt. Error
-/// paths skip timing — only successfully evaluated requests report phases.
-pub fn handle_request_timed(
+///
+/// Evaluation runs under `cancel` and behind a panic barrier: a panicking
+/// evaluation is answered with a status-500 frame instead of killing the
+/// connection thread, so one poisoned request cannot take the server down;
+/// a cancelled one is answered with a status-598 frame, never a partial
+/// result set posing as complete. `stats` counts in-flight requests,
+/// panics, deadline trips and explicit cancellations. With `timing`, the
+/// per-phase timings are recorded as `(name, offset_ns, dur_ns)` triples
+/// relative to request receipt; error paths skip timing — only
+/// successfully evaluated requests report phases.
+pub fn handle_request(
     graph: &SharedGraph,
     req: &Json,
+    stats: &ServerStats,
+    cancel: Option<&CancelToken>,
     timing: Option<&mut Vec<(String, u64, u64)>>,
 ) -> Vec<Json> {
-    handle_request_cancel_timed(graph, req, None, timing).0
+    let request_id = req.get("requestId").and_then(|j| j.as_str()).unwrap_or("").to_string();
+    let t0 = Instant::now();
+    stats.inflight.fetch_add(1, Ordering::Relaxed);
+    let result =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode_and_evaluate(graph, req, cancel, timing)));
+    stats.inflight.fetch_sub(1, Ordering::Relaxed);
+    let frames = match result {
+        Ok((frames, cause)) => {
+            match cause {
+                Some(CancelCause::Deadline) => {
+                    stats.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
+                }
+                Some(CancelCause::Explicit) => {
+                    stats.cancelled_inflight.fetch_add(1, Ordering::Relaxed);
+                }
+                None => {}
+            }
+            frames
+        }
+        Err(_) => {
+            stats.evaluation_panics.fetch_add(1, Ordering::Relaxed);
+            vec![response(&request_id, status::SERVER_ERROR, "internal error: request evaluation panicked", Vec::new())]
+        }
+    };
+    if nepal_obs::flight::recorder().is_enabled() {
+        let code = frames
+            .last()
+            .and_then(|f| f.get("status"))
+            .and_then(|s| s.get("code"))
+            .and_then(|c| c.as_u64())
+            .unwrap_or(0);
+        nepal_obs::flight::emit(
+            FlightKind::RequestDone,
+            code,
+            t0.elapsed().as_micros() as u64,
+            frames.len() as u64,
+            &request_id,
+        );
+    }
+    frames
 }
 
-/// [`handle_request_timed`] under an optional cancel token. Returns the
-/// response frames plus the cancellation cause if evaluation was abandoned
-/// at a checkpoint — the caller maps the cause to the right counter. A
-/// cancelled request is answered with a status-598 frame, never a partial
-/// result set posing as complete.
-pub fn handle_request_cancel_timed(
+/// Decode and evaluate one request. Returns the response frames plus the
+/// cancellation cause if evaluation was abandoned at a checkpoint — the
+/// caller maps the cause to the right counter.
+fn decode_and_evaluate(
     graph: &SharedGraph,
     req: &Json,
     cancel: Option<&CancelToken>,
@@ -262,111 +307,23 @@ pub fn attach_server_timing(frames: &mut [Json], total_ns: u64, spans: &[(String
     );
 }
 
-/// [`handle_request`] with a panic barrier: a panicking evaluation is
-/// answered with a status-500 frame instead of killing the connection
-/// thread, so one poisoned request cannot take the server down.
-pub fn handle_request_guarded(graph: &SharedGraph, req: &Json, stats: &ServerStats) -> Vec<Json> {
-    handle_request_guarded_timed(graph, req, stats, None)
-}
-
-/// [`handle_request_guarded`] optionally recording per-phase timings.
-pub fn handle_request_guarded_timed(
-    graph: &SharedGraph,
-    req: &Json,
-    stats: &ServerStats,
-    timing: Option<&mut Vec<(String, u64, u64)>>,
-) -> Vec<Json> {
-    handle_request_ctl(graph, req, stats, None, timing)
-}
-
-/// The full-fat request handler: panic barrier + cancel token + timings +
-/// cancellation counters. Everything else delegates here.
-pub fn handle_request_ctl(
-    graph: &SharedGraph,
-    req: &Json,
-    stats: &ServerStats,
-    cancel: Option<&CancelToken>,
-    timing: Option<&mut Vec<(String, u64, u64)>>,
-) -> Vec<Json> {
-    let request_id = req.get("requestId").and_then(|j| j.as_str()).unwrap_or("").to_string();
-    let t0 = Instant::now();
-    stats.inflight.fetch_add(1, Ordering::Relaxed);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        handle_request_cancel_timed(graph, req, cancel, timing)
-    }));
-    stats.inflight.fetch_sub(1, Ordering::Relaxed);
-    let frames = match result {
-        Ok((frames, cause)) => {
-            match cause {
-                Some(CancelCause::Deadline) => {
-                    stats.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(CancelCause::Explicit) => {
-                    stats.cancelled_inflight.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {}
-            }
-            frames
-        }
-        Err(_) => {
-            stats.evaluation_panics.fetch_add(1, Ordering::Relaxed);
-            vec![response(&request_id, status::SERVER_ERROR, "internal error: request evaluation panicked", Vec::new())]
-        }
-    };
-    if nepal_obs::flight::recorder().is_enabled() {
-        let code = frames
-            .last()
-            .and_then(|f| f.get("status"))
-            .and_then(|s| s.get("code"))
-            .and_then(|c| c.as_u64())
-            .unwrap_or(0);
-        nepal_obs::flight::emit(
-            FlightKind::RequestDone,
-            code,
-            t0.elapsed().as_micros() as u64,
-            frames.len() as u64,
-            &request_id,
-        );
-    }
-    frames
-}
-
-/// Serve one connection until EOF.
-pub fn serve_connection(graph: SharedGraph, conn: impl Transport) {
-    serve_connection_stats(graph, conn, &ServerStats::default())
-}
-
-/// [`serve_connection`] recording wire counters into shared stats. A frame
-/// that fails to decode is answered with a status-597 error frame before
-/// the connection closes (the byte stream is desynchronized past it); an
-/// evaluation panic is answered with status 500 and the connection lives on.
-pub fn serve_connection_stats(graph: SharedGraph, conn: impl Transport, stats: &ServerStats) {
-    serve_connection_traced(graph, conn, stats, None)
-}
-
-/// [`serve_connection_stats`] with request tracing. Two independent layers:
+/// Serve one connection until EOF or drain, recording wire counters into
+/// `stats`.
 ///
-/// 1. A request whose `args.trace` flag is set gets its decode/evaluate
-///    phases measured and echoed back as `result.meta.serverTiming` on the
-///    final frame, regardless of whether this server has a tracer — so an
-///    in-process pipe still yields cross-wire traces for the *client's*
-///    tracer.
-/// 2. If `tracer` is given, every request also records its own server-side
-///    trace (`gremlin:request` on the server track) into that tracer's ring.
-pub fn serve_connection_traced(graph: SharedGraph, conn: impl Transport, stats: &ServerStats, tracer: Option<&Tracer>) {
-    serve_connection_ctl(graph, conn, stats, tracer, &ConnCtl::default())
-}
-
-/// [`serve_connection_traced`] under serving controls: an incremental
-/// [`FrameReader`] (stall-tolerant on transports with a read timeout),
-/// per-request deadline tokens, and drain observation between requests.
-pub fn serve_connection_ctl(
-    graph: SharedGraph,
-    mut conn: impl Transport,
-    stats: &ServerStats,
-    tracer: Option<&Tracer>,
-    ctl: &ConnCtl,
-) {
+/// - Frames are read by an incremental [`FrameReader`] (stall-tolerant on
+///   transports with a read timeout), and drain is observed between
+///   requests. A frame that fails to decode is answered with a status-597
+///   error frame before the connection closes (the byte stream is
+///   desynchronized past it); an evaluation panic is answered with status
+///   500 and the connection lives on.
+/// - Each request runs under a fresh token from `ctl` (deadline and drain).
+/// - A request whose `args.trace` flag is set gets its decode/evaluate
+///   phases measured and echoed back as `result.meta.serverTiming` on the
+///   final frame, whether or not `ctl` carries a tracer — so an in-process
+///   pipe still yields cross-wire traces for the *client's* tracer.
+/// - With [`ConnCtl::tracer`] set, every request also records its own
+///   server-side trace, and with [`ConnCtl::stmt`] its statement stats.
+pub fn serve_connection(graph: SharedGraph, mut conn: impl Transport, stats: &ServerStats, ctl: &ConnCtl) {
     let mut reader = FrameReader::new();
     loop {
         // Pull the next request; between read timeouts, observe drain so
@@ -394,7 +351,7 @@ pub fn serve_connection_ctl(
         };
         stats.requests.fetch_add(1, Ordering::Relaxed);
         let want_timing = matches!(req.get("args").and_then(|a| a.get("trace")), Some(Json::Bool(true)));
-        let srv_span = match tracer {
+        let srv_span = match &ctl.tracer {
             Some(t) => t.start_trace_on("gremlin:request", TRACK_SERVER),
             None => nepal_obs::SpanHandle::none(),
         };
@@ -407,7 +364,7 @@ pub fn serve_connection_ctl(
         let mut timing: Vec<(String, u64, u64)> = Vec::new();
         let timing_slot = if measure { Some(&mut timing) } else { None };
         let token = ctl.request_token();
-        let mut frames = handle_request_ctl(&graph, &req, stats, token.as_ref(), timing_slot);
+        let mut frames = handle_request(&graph, &req, stats, token.as_ref(), timing_slot);
         if let (true, Some(stmt), Some(t)) = (metered, &ctl.stmt, t0) {
             let cpu_ns = c0.map(|c| nepal_obs::thread_cpu_ns().saturating_sub(c)).unwrap_or(0);
             record_stmt(stmt, &req, &frames, t.elapsed().as_nanos() as u64, cpu_ns);
@@ -621,17 +578,17 @@ impl GremlinServer {
             cancel: Some(drain_cancel.clone()),
             deadline: cfg.deadline,
             stmt: cfg.stmt.clone(),
+            tracer,
         };
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
                 let g = graph.clone();
                 let st = stats.clone();
                 let q = queue.clone();
-                let tr = tracer.clone();
                 let ctl = ctl.clone();
                 thread::spawn(move || {
                     while let Some(stream) = q.pop() {
-                        serve_connection_ctl(g.clone(), stream, &st, tr.as_ref(), &ctl);
+                        serve_connection(g.clone(), stream, &st, &ctl);
                     }
                 })
             })
@@ -774,37 +731,14 @@ impl Write for PipeEnd {
     }
 }
 
-/// Spawn an in-process server thread over a pipe; returns the client end.
-pub fn serve_in_process(graph: SharedGraph) -> PipeEnd {
-    serve_in_process_stats(graph).0
-}
-
-/// [`serve_in_process`] also returning the server's shared wire counters.
-pub fn serve_in_process_stats(graph: SharedGraph) -> (PipeEnd, Arc<ServerStats>) {
+/// Spawn an in-process server thread over a pipe under `ctl` (deadline,
+/// drain signals, tracer, statement stats); returns the client end and the
+/// server's shared wire counters.
+pub fn serve_in_process(graph: SharedGraph, ctl: ConnCtl) -> (PipeEnd, Arc<ServerStats>) {
     let (client, server) = pipe_pair();
     let stats = Arc::new(ServerStats::default());
     let st = stats.clone();
-    thread::spawn(move || serve_connection_stats(graph, server, &st));
-    (client, stats)
-}
-
-/// [`serve_in_process_stats`] with the server recording its own traces
-/// into `tracer`'s ring.
-pub fn serve_in_process_traced(graph: SharedGraph, tracer: Tracer) -> (PipeEnd, Arc<ServerStats>) {
-    let (client, server) = pipe_pair();
-    let stats = Arc::new(ServerStats::default());
-    let st = stats.clone();
-    thread::spawn(move || serve_connection_traced(graph, server, &st, Some(&tracer)));
-    (client, stats)
-}
-
-/// [`serve_in_process_stats`] under explicit serving controls (deadline,
-/// drain signals) — the zero-socket path for overload/fault tests.
-pub fn serve_in_process_ctl(graph: SharedGraph, ctl: ConnCtl) -> (PipeEnd, Arc<ServerStats>) {
-    let (client, server) = pipe_pair();
-    let stats = Arc::new(ServerStats::default());
-    let st = stats.clone();
-    thread::spawn(move || serve_connection_ctl(graph, server, &st, None, &ctl));
+    thread::spawn(move || serve_connection(graph, server, &st, &ctl));
     (client, stats)
 }
 
@@ -828,7 +762,7 @@ mod tests {
     fn handles_bytecode_request() {
         let g = shared();
         let req = request("q1", bytecode_to_json(&[GStep::V(vec![]), GStep::Count]));
-        let frames = handle_request(&g, &req);
+        let frames = handle_request(&g, &req, &ServerStats::default(), None, None);
         assert_eq!(frames.len(), 1);
         let data = frames[0].get("result").unwrap().get("data").unwrap().as_arr().unwrap();
         assert_eq!(data[0], Json::Num(2.0));
@@ -841,17 +775,17 @@ mod tests {
         if let Json::Obj(m) = &mut req {
             m.insert("op".into(), Json::Str("eval".into()));
         }
-        let frames = handle_request(&g, &req);
+        let frames = handle_request(&g, &req, &ServerStats::default(), None, None);
         assert_eq!(frames[0].get("status").unwrap().get("code").unwrap().as_u64(), Some(500));
         let req2 = request("q2", Json::Arr(vec![Json::Arr(vec![Json::Str("nope".into())])]));
-        let frames2 = handle_request(&g, &req2);
+        let frames2 = handle_request(&g, &req2, &ServerStats::default(), None, None);
         assert_eq!(frames2[0].get("status").unwrap().get("code").unwrap().as_u64(), Some(500));
     }
 
     #[test]
     fn in_process_pipe_round_trip() {
         let g = shared();
-        let mut client = serve_in_process(g);
+        let (mut client, _) = serve_in_process(g, ConnCtl::default());
         let req = request("q1", bytecode_to_json(&[GStep::V(vec![1]), GStep::Id]));
         write_frame(&mut client, &req).unwrap();
         let resp = read_frame(&mut client).unwrap();
@@ -865,7 +799,7 @@ mod tests {
         let g = shared();
         let stmt = Arc::new(nepal_obs::StmtStats::new(8));
         let ctl = ConnCtl { stmt: Some(stmt.clone()), ..ConnCtl::default() };
-        let (mut client, _) = serve_in_process_ctl(g, ctl);
+        let (mut client, _) = serve_in_process(g, ctl);
         let req = request("q1", bytecode_to_json(&[GStep::V(vec![]), GStep::Count]));
         write_frame(&mut client, &req).unwrap();
         let _ = read_frame(&mut client).unwrap();

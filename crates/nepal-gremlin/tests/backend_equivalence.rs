@@ -8,8 +8,9 @@ use std::sync::Arc;
 
 use nepal_graph::{GraphView, TemporalGraph, TimeFilter, Uid};
 use nepal_gremlin::{
-    evaluate_gremlin, property_graph_from, serve_in_process, GremlinClient, GremlinServer, GremlinTime,
+    evaluate_gremlin, property_graph_from, serve_in_process, ConnCtl, GremlinClient, GremlinServer, GremlinTime,
 };
+use nepal_obs::SpanHandle;
 use nepal_rpe::{evaluate, parse_rpe, plan_rpe, EvalOptions, GraphEstimator, Pathway, Seeds};
 use nepal_schema::dsl::parse_schema;
 use nepal_schema::{Schema, Value};
@@ -88,9 +89,18 @@ fn check(g: &TemporalGraph, q: &str, native_filter: TimeFilter, gtime: GremlinTi
     let view = GraphView::new(g, native_filter);
     let native = evaluate(&view, &plan, Seeds::Anchor, &EvalOptions::default());
     let pg = Arc::new(RwLock::new(property_graph_from(g)));
-    let mut client = GremlinClient::new(serve_in_process(pg));
-    let res =
-        evaluate_gremlin(&mut client, g.schema(), &plan, gtime, Seeds::Anchor, &EvalOptions::default(), block).unwrap();
+    let mut client = GremlinClient::new(serve_in_process(pg, ConnCtl::default()).0);
+    let res = evaluate_gremlin(
+        &mut client,
+        g.schema(),
+        &plan,
+        gtime,
+        Seeds::Anchor,
+        &EvalOptions::default(),
+        block,
+        &SpanHandle::none(),
+    )
+    .unwrap();
     assert_eq!(
         key(&native),
         key(&res.pathways),
@@ -142,7 +152,7 @@ fn extend_block_reduces_round_trips() {
     let q = "VNF(vnf_id=2)->[Vertical()]{1,6}->Host()";
     let plan = plan_rpe(g.schema(), &parse_rpe(q).unwrap(), &GraphEstimator { graph: &g }).unwrap();
     let pg = Arc::new(RwLock::new(property_graph_from(&g)));
-    let mut c1 = GremlinClient::new(serve_in_process(pg.clone()));
+    let mut c1 = GremlinClient::new(serve_in_process(pg.clone(), ConnCtl::default()).0);
     let with_block = evaluate_gremlin(
         &mut c1,
         g.schema(),
@@ -151,9 +161,10 @@ fn extend_block_reduces_round_trips() {
         Seeds::Anchor,
         &EvalOptions::default(),
         true,
+        &SpanHandle::none(),
     )
     .unwrap();
-    let mut c2 = GremlinClient::new(serve_in_process(pg));
+    let mut c2 = GremlinClient::new(serve_in_process(pg, ConnCtl::default()).0);
     let without = evaluate_gremlin(
         &mut c2,
         g.schema(),
@@ -162,6 +173,7 @@ fn extend_block_reduces_round_trips() {
         Seeds::Anchor,
         &EvalOptions::default(),
         false,
+        &SpanHandle::none(),
     )
     .unwrap();
     assert_eq!(key(&with_block.pathways), key(&without.pathways));
@@ -194,6 +206,7 @@ fn seeded_evaluation_over_tcp() {
         Seeds::Sources(&seeds),
         &EvalOptions::default(),
         false,
+        &SpanHandle::none(),
     )
     .unwrap();
     assert_eq!(key(&native), key(&res.pathways));
@@ -207,6 +220,7 @@ fn seeded_evaluation_over_tcp() {
         Seeds::Targets(&seeds),
         &EvalOptions::default(),
         false,
+        &SpanHandle::none(),
     )
     .unwrap();
     assert_eq!(key(&native_t), key(&res_t.pathways));

@@ -183,6 +183,12 @@ pub struct MetricsRegistry {
     entries: Mutex<BTreeMap<String, Entry>>,
 }
 
+impl std::fmt::Debug for MetricsRegistry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MetricsRegistry").finish_non_exhaustive()
+    }
+}
+
 fn sanitize(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == ':' { c } else { '_' }).collect()
 }

@@ -104,6 +104,12 @@ impl Default for Tracer {
     }
 }
 
+impl std::fmt::Debug for Tracer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tracer").finish_non_exhaustive()
+    }
+}
+
 impl Tracer {
     /// A disabled tracer keeping the last 64 traces, sampling 1-in-1, with
     /// a 10ms always-keep-slow threshold.

@@ -538,22 +538,11 @@ fn finalize_times(filter: TimeFilter, combos: Vec<(Option<Ts>, Option<Ts>)>) -> 
 /// A frontier pair: the row plus the source endpoint for edge seeds.
 type SeedPair = (Row, Option<i64>);
 
-/// Evaluate a planned RPE against the relational store.
+/// Evaluate a planned RPE against the relational store under `span`: table
+/// scans become `Scan` child spans and each directional frontier pass a
+/// `Join(fwd)`/`Join(bwd)` span, carrying rows-scanned/rows-joined
+/// attributes. Pass [`SpanHandle::none`] to record nothing.
 pub fn evaluate_relational(
-    db: &RelDb,
-    schema: &Schema,
-    plan: &RpePlan,
-    filter: TimeFilter,
-    seeds: Seeds,
-    opts: &EvalOptions,
-) -> Result<RelResult> {
-    evaluate_relational_spanned(db, schema, plan, filter, seeds, opts, &SpanHandle::none())
-}
-
-/// [`evaluate_relational`] under a live span: table scans become `Scan`
-/// child spans and each directional frontier pass a `Join(fwd)`/`Join(bwd)`
-/// span, carrying rows-scanned/rows-joined attributes.
-pub fn evaluate_relational_spanned(
     db: &RelDb,
     schema: &Schema,
     plan: &RpePlan,

@@ -22,7 +22,7 @@ pub mod table;
 
 pub use db::{RelDb, TableId};
 pub use error::{RelError, Result};
-pub use exec::{evaluate_relational, evaluate_relational_spanned, RelResult};
+pub use exec::{evaluate_relational, RelResult};
 pub use load::{create_schema, db_from_graph, field_offset, history_name, load_graph, table_name};
 pub use sql::{execute_sql, parse_sql, Select, SqlExpr, Stmt};
 pub use table::{ColDef, ColType, Table};

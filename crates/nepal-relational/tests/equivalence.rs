@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use nepal_graph::{GraphView, TemporalGraph, TimeFilter, Uid};
+use nepal_obs::SpanHandle;
 use nepal_relational::{db_from_graph, evaluate_relational};
 use nepal_rpe::{evaluate, parse_rpe, plan_rpe, EvalOptions, GraphEstimator, Pathway, Seeds};
 use nepal_schema::dsl::parse_schema;
@@ -91,7 +92,16 @@ fn check_equivalence(g: &TemporalGraph, rpe: &str, filter: TimeFilter) {
     let view = GraphView::new(g, filter);
     let native = evaluate(&view, &plan, Seeds::Anchor, &EvalOptions::default());
     let db = db_from_graph(g).unwrap();
-    let rel = evaluate_relational(&db, g.schema(), &plan, filter, Seeds::Anchor, &EvalOptions::default()).unwrap();
+    let rel = evaluate_relational(
+        &db,
+        g.schema(),
+        &plan,
+        filter,
+        Seeds::Anchor,
+        &EvalOptions::default(),
+        &SpanHandle::none(),
+    )
+    .unwrap();
     assert_eq!(
         key(&native),
         key(&rel.pathways),
@@ -166,6 +176,7 @@ fn seeded_evaluation_equivalence() {
             TimeFilter::Current,
             Seeds::Sources(&seeds),
             &EvalOptions::default(),
+            &SpanHandle::none(),
         )
         .unwrap();
         assert_eq!(key(&native), key(&rel.pathways), "sources seeded mismatch");
@@ -177,6 +188,7 @@ fn seeded_evaluation_equivalence() {
             TimeFilter::Current,
             Seeds::Targets(&seeds),
             &EvalOptions::default(),
+            &SpanHandle::none(),
         )
         .unwrap();
         assert_eq!(key(&native_t), key(&rel_t.pathways), "targets seeded mismatch");
@@ -193,8 +205,16 @@ fn emitted_sql_has_paper_shape() {
     )
     .unwrap();
     let db = db_from_graph(&g).unwrap();
-    let rel = evaluate_relational(&db, g.schema(), &plan, TimeFilter::Current, Seeds::Anchor, &EvalOptions::default())
-        .unwrap();
+    let rel = evaluate_relational(
+        &db,
+        g.schema(),
+        &plan,
+        TimeFilter::Current,
+        Seeds::Anchor,
+        &EvalOptions::default(),
+        &SpanHandle::none(),
+    )
+    .unwrap();
     let sql = rel.sql.join("\n");
     assert!(sql.contains("create TEMP table tmp_select_node_1"), "{sql}");
     assert!(sql.contains("ARRAY[N.id_] as uid_list"), "{sql}");
@@ -207,6 +227,7 @@ fn emitted_sql_has_paper_shape() {
         TimeFilter::AsOf(nepal_schema::parse_ts("2017-02-15 10:00:00").unwrap()),
         Seeds::Anchor,
         &EvalOptions::default(),
+        &SpanHandle::none(),
     )
     .unwrap();
     let sql2 = rel2.sql.join("\n");
@@ -226,7 +247,16 @@ fn emitted_sql_parses_with_the_sql_engine() {
     .unwrap();
     let db = db_from_graph(&g).unwrap();
     for filter in [TimeFilter::Current, TimeFilter::AsOf(500)] {
-        let rel = evaluate_relational(&db, g.schema(), &plan, filter, Seeds::Anchor, &EvalOptions::default()).unwrap();
+        let rel = evaluate_relational(
+            &db,
+            g.schema(),
+            &plan,
+            filter,
+            Seeds::Anchor,
+            &EvalOptions::default(),
+            &SpanHandle::none(),
+        )
+        .unwrap();
         for stmt in &rel.sql {
             nepal_relational::parse_sql(stmt).unwrap_or_else(|e| panic!("emitted SQL does not parse: {e}\n{stmt}"));
         }
@@ -295,8 +325,16 @@ fn table1_families_match_native_on_churned_onap() {
         for filter in filters {
             let view = GraphView::new(&g, filter);
             let native = evaluate(&view, &plan, Seeds::Anchor, &EvalOptions { threads: 1, ..Default::default() });
-            let rel =
-                evaluate_relational(&db, g.schema(), &plan, filter, Seeds::Anchor, &EvalOptions::default()).unwrap();
+            let rel = evaluate_relational(
+                &db,
+                g.schema(),
+                &plan,
+                filter,
+                Seeds::Anchor,
+                &EvalOptions::default(),
+                &SpanHandle::none(),
+            )
+            .unwrap();
             assert_eq!(key(&native), key(&rel.pathways), "{instance} `{rpe}` under {filter:?}");
         }
     }
@@ -314,7 +352,9 @@ fn limited_evaluation_keeps_its_pathways() {
         for (scope, filter) in ["current", "at", "range"].into_iter().zip(filters) {
             for limit in [1, 2] {
                 let opts = EvalOptions { limit: Some(limit), ..Default::default() };
-                let rel = evaluate_relational(&db, g.schema(), &plan, filter, Seeds::Anchor, &opts).unwrap();
+                let rel =
+                    evaluate_relational(&db, g.schema(), &plan, filter, Seeds::Anchor, &opts, &SpanHandle::none())
+                        .unwrap();
                 let paths: Vec<String> = key(&rel.pathways)
                     .into_iter()
                     .map(|(elems, _)| elems.iter().map(u64::to_string).collect::<Vec<_>>().join(","))

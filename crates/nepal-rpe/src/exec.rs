@@ -57,9 +57,8 @@ pub struct EvalOptions {
     /// Cooperative cancellation: polled at bounded intervals (anchor
     /// scans, every few node expansions, pool job boundaries). A tripped
     /// token surfaces as [`RpeError::DeadlineExceeded`] /
-    /// [`RpeError::Cancelled`] from the fallible entry points
-    /// ([`evaluate_obs`] / [`evaluate_metered`]) — never as a panic or a
-    /// silently truncated result.
+    /// [`RpeError::Cancelled`] from the fallible entry point
+    /// [`evaluate_obs`] — never as a panic or a silently truncated result.
     pub cancel: Option<CancelToken>,
     /// Per-query resource meter. When set, the evaluator charges the
     /// meter with deterministic work counters (rows / bytes scanned,
@@ -70,6 +69,9 @@ pub struct EvalOptions {
     /// and at pool job boundaries (physical, mode-dependent). `None` (the
     /// default) keeps the no-clock-reads contract.
     pub meter: Option<Arc<ResourceMeter>>,
+    /// Registry receiving the parallel evaluator's chunk/steal counters and
+    /// per-worker busy-time histogram. `None` (the default) records none.
+    pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl EvalOptions {
@@ -601,33 +603,28 @@ fn add_result(elems: Vec<Uid>, times: Times, results: &mut ResultMap) {
 ///
 /// Infallible convenience wrapper for token-free options: panics if
 /// `opts.cancel` trips mid-evaluation. Callers that set a cancel token
-/// must use the fallible [`evaluate_obs`] / [`evaluate_metered`].
+/// must use the fallible [`evaluate_obs`].
 pub fn evaluate(view: &GraphView, plan: &RpePlan, seeds: Seeds, opts: &EvalOptions) -> Vec<Pathway> {
-    evaluate_traced(view, plan, seeds, opts, None)
+    evaluate_obs(view, plan, seeds, opts, None, &SpanHandle::none())
+        .expect("evaluation with a cancel token must go through evaluate_obs")
 }
 
-/// [`evaluate`] with an optional [`ExecTrace`] collecting one [`OpStats`]
-/// per §5 operator instance plus free-form counters (temporal prunes, memo
-/// size). With `trace == None` no clock is ever read; the only residual
-/// cost of instrumentation on the untraced path is plain integer
-/// increments. Infallible like [`evaluate`]: use the fallible entry points
-/// when a cancel token is set.
-pub fn evaluate_traced(
-    view: &GraphView,
-    plan: &RpePlan,
-    seeds: Seeds,
-    opts: &EvalOptions,
-    trace: Option<&mut ExecTrace>,
-) -> Vec<Pathway> {
-    evaluate_obs(view, plan, seeds, opts, trace, &SpanHandle::none())
-        .expect("evaluation with a cancel token must go through evaluate_obs/evaluate_metered")
-}
-
-/// The fully observable evaluator: optional profiling trace *and* an
-/// optional live span. Operator instances become child spans of `span`
-/// (the `Select` as a real child, the accumulated `Extend`/`Union` work as
-/// duration spans) in addition to the [`OpStats`] rows. An inactive span
-/// plus `trace == None` keeps the no-clock-reads contract.
+/// The fully observable evaluator.
+///
+/// - `trace` collects one [`OpStats`] per §5 operator instance plus
+///   free-form counters (temporal prunes, memo size).
+/// - Operator instances become child spans of `span` (the `Select` as a
+///   real child, the accumulated `Extend`/`Union` work as duration spans).
+/// - [`EvalOptions::metrics`] receives the parallel evaluator's counters
+///   (`nepal_rpe_parallel_chunks_total`, `nepal_rpe_steals_total`) and the
+///   per-worker busy-time histogram (`nepal_rpe_worker_busy_ns`).
+///
+/// `trace == None` plus an inactive span keeps the no-clock-reads
+/// contract: the only residual cost of instrumentation is plain integer
+/// increments. Dispatches to the parallel evaluator when
+/// [`EvalOptions::threads`] resolves above 1 and no result `limit` is
+/// set; the parallel path produces bit-identical pathways, `OpStats` rows,
+/// and temporal-prune counts (see DESIGN.md).
 pub fn evaluate_obs(
     view: &GraphView,
     plan: &RpePlan,
@@ -635,25 +632,6 @@ pub fn evaluate_obs(
     opts: &EvalOptions,
     trace: Option<&mut ExecTrace>,
     span: &SpanHandle,
-) -> Result<Vec<Pathway>, RpeError> {
-    evaluate_metered(view, plan, seeds, opts, trace, span, None)
-}
-
-/// [`evaluate_obs`] plus an optional [`MetricsRegistry`] receiving the
-/// parallel evaluator's counters (`nepal_rpe_parallel_chunks_total`,
-/// `nepal_rpe_steals_total`) and the per-worker busy-time histogram
-/// (`nepal_rpe_worker_busy_ns`). Dispatches to the parallel
-/// evaluator when [`EvalOptions::threads`] resolves above 1 and no result
-/// `limit` is set; the parallel path produces bit-identical pathways,
-/// `OpStats` rows, and temporal-prune counts (see DESIGN.md).
-pub fn evaluate_metered(
-    view: &GraphView,
-    plan: &RpePlan,
-    seeds: Seeds,
-    opts: &EvalOptions,
-    trace: Option<&mut ExecTrace>,
-    span: &SpanHandle,
-    metrics: Option<&MetricsRegistry>,
 ) -> Result<Vec<Pathway>, RpeError> {
     // Coordinator CPU: one clock pair around the whole evaluation, on the
     // calling thread. Worker CPU is folded in separately at pool
@@ -667,7 +645,7 @@ pub fn evaluate_metered(
             Seeds::Anchor => {}
         }
     }
-    let result = evaluate_dispatch(view, plan, seeds, opts, trace, span, metrics);
+    let result = evaluate_dispatch(view, plan, seeds, opts, trace, span);
     if let (Some(mm), Some(c0)) = (opts.meter.as_ref(), cpu0) {
         mm.add_cpu_ns(thread_cpu_ns().saturating_sub(c0));
     }
@@ -681,7 +659,6 @@ fn evaluate_dispatch(
     opts: &EvalOptions,
     trace: Option<&mut ExecTrace>,
     span: &SpanHandle,
-    metrics: Option<&MetricsRegistry>,
 ) -> Result<Vec<Pathway>, RpeError> {
     // Fast-fail: a request arriving with an already-tripped token (server
     // drain, expired deadline) must not seed any work, however small the
@@ -699,7 +676,7 @@ fn evaluate_dispatch(
             Seeds::Targets(t) => t.len() >= 2,
         };
     if parallel {
-        evaluate_parallel(view, plan, seeds, opts, trace, span, metrics, threads)
+        evaluate_parallel(view, plan, seeds, opts, trace, span, threads)
     } else {
         evaluate_sequential(view, plan, seeds, opts, trace, span)
     }
@@ -1170,7 +1147,6 @@ fn note_pool<W>(
 /// results in seed order through the same commutative [`add_result`]
 /// merge, followed by the same final sort. Only called with no `limit`
 /// set — the limit's early exit is traversal-order-dependent.
-#[allow(clippy::too_many_arguments)]
 fn evaluate_parallel(
     view: &GraphView,
     plan: &RpePlan,
@@ -1178,9 +1154,9 @@ fn evaluate_parallel(
     opts: &EvalOptions,
     mut trace: Option<&mut ExecTrace>,
     span: &SpanHandle,
-    metrics: Option<&MetricsRegistry>,
     threads: usize,
 ) -> Result<Vec<Pathway>, RpeError> {
+    let metrics = opts.metrics.as_deref();
     let enabled = trace.is_some() || span.is_active();
     let timed = enabled || metrics.is_some() || opts.meter.is_some();
     let schema = view.graph.schema().clone();

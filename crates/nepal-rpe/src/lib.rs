@@ -63,10 +63,7 @@ pub use ast::{Atom, CmpOp, Pred, Rpe};
 pub use bind::{bind, BoundAtom, BoundPred, BoundRpe, Norm};
 pub use cancel::{CancelCause, CancelToken};
 pub use error::{Result, RpeError};
-pub use exec::{
-    anchor_scan, evaluate, evaluate_metered, evaluate_obs, evaluate_traced, resolved_threads, EvalOptions,
-    GraphEstimator, Seeds,
-};
+pub use exec::{anchor_scan, evaluate, evaluate_obs, resolved_threads, EvalOptions, GraphEstimator, Seeds};
 pub use nfa::{compile, Label, Nfa, Transition};
 pub use parser::parse_rpe;
 pub use path::Pathway;

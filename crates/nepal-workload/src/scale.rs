@@ -1,7 +1,7 @@
 //! Size tiers for the virtualized-service generator: the same ONAP-style
-//! layered shape as [`generate_virtualized`](crate::generate_virtualized),
-//! parameterized from the paper's ~13k-entity evaluation graph up to
-//! million-entity scale for the scaling sweep.
+//! layered shape as [`generate_virtualized`], parameterized from the
+//! paper's ~13k-entity evaluation graph up to million-entity scale for the
+//! scaling sweep.
 //!
 //! Each tier also defines a deterministic churn schedule with two phases:
 //! a *broad* phase touching a small daily fraction of the whole inventory

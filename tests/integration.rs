@@ -4,7 +4,9 @@
 
 use std::sync::Arc;
 
-use nepal::core::{engine_over, Backend, BackendRegistry, Engine, GremlinBackend, NativeBackend, RelationalBackend};
+use nepal::core::{
+    digest_result, engine_over, Backend, BackendRegistry, Engine, GremlinBackend, NativeBackend, RelationalBackend,
+};
 use nepal::gremlin::{property_graph_from, GremlinClient, GremlinServer};
 use nepal::schema::Value;
 use nepal::workload::{generate_virtualized, VirtParams};
@@ -177,5 +179,47 @@ fn backend_trait_objects_compose() {
         let a = &row.pathways.iter().find(|(v, _)| v == "A").unwrap().1;
         let b = &row.pathways.iter().find(|(v, _)| v == "B").unwrap().1;
         assert_eq!(a.target(), b.source());
+    }
+}
+
+#[test]
+fn independent_variables_fan_out_on_every_backend() {
+    // Two range variables with no path-end link between them evaluate
+    // concurrently whatever backend holds them: the relational backend
+    // shares its tables, the Gremlin backend serialises on its client
+    // lock. Fan-out must change wall-clock time only, never the answer.
+    let topo = small_topo();
+    let graph = Arc::new(topo.graph);
+    let mut registry = BackendRegistry::new("native", Box::new(NativeBackend::new(graph.clone())));
+    registry.add("pg", Box::new(RelationalBackend::from_graph(&graph).unwrap()));
+    let pg = Arc::new(RwLock::new(property_graph_from(&graph)));
+    let server = GremlinServer::start(pg).unwrap();
+    let client = GremlinClient::new(server.connect().unwrap());
+    registry.add("gremlin", Box::new(GremlinBackend::new(client, graph.schema().clone())));
+    let mut engine = Engine::new(registry);
+    engine.tracer.set_enabled(true);
+    engine.tracer.set_sample_every(1);
+
+    for (a, b) in [("USING pg", "USING pg"), ("", "USING pg"), ("USING gremlin", "USING gremlin")] {
+        let q = format!(
+            "Retrieve A, B From PATHS A {a}, PATHS B {b} \
+             Where A MATCHES VNF()->ComposedOf()->VFC() \
+             And B MATCHES VFC()->OnVM()->Container()"
+        );
+        engine.eval_options.threads = 1;
+        let sequential = digest_result(&engine.query(&q).unwrap());
+        engine.eval_options.threads = 4;
+        let fanned = engine.query(&q).unwrap();
+        assert!(!fanned.rows.is_empty(), "{q}");
+        assert_eq!(digest_result(&fanned), sequential, "fan-out changed the answer of {q}");
+        let trace = engine.tracer.get(engine.tracer.latest_id().unwrap()).unwrap();
+        let execute = trace.spans.iter().find(|s| s.name == "execute").expect("execute span");
+        assert!(
+            execute.attrs.iter().any(|(k, v)| k == "parallel_vars" && v == "2"),
+            "{q} did not fan out: {:?}",
+            execute.attrs
+        );
+        let (profiled, _) = engine.query_profiled(&q).unwrap();
+        assert_eq!(digest_result(&profiled), sequential, "profiled answer differs for {q}");
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use nepal::core::{engine_over, StandardSlos};
 use nepal::graph::{GraphView, StoreGauges, TemporalGraph, TimeFilter};
-use nepal::rpe::{evaluate_metered, parse_rpe, plan_rpe, EvalOptions, GraphEstimator, Seeds};
+use nepal::rpe::{evaluate_obs, parse_rpe, plan_rpe, EvalOptions, GraphEstimator, Seeds};
 use nepal::schema::dsl::parse_schema;
 use nepal::schema::Value;
 
@@ -67,17 +67,8 @@ fn design_metrics_reference_matches_registry() {
         let view = GraphView::new(&graph, TimeFilter::Current);
         let rpe = parse_rpe("VM()->HostedOn()->Host()").unwrap();
         let plan = plan_rpe(graph.schema(), &rpe, &GraphEstimator { graph: &graph }).unwrap();
-        let opts = EvalOptions { threads: 2, ..Default::default() };
-        evaluate_metered(
-            &view,
-            &plan,
-            Seeds::Anchor,
-            &opts,
-            None,
-            &nepal::obs::SpanHandle::none(),
-            Some(&engine.metrics),
-        )
-        .unwrap();
+        let opts = EvalOptions { threads: 2, metrics: Some(engine.metrics.clone()), ..Default::default() };
+        evaluate_obs(&view, &plan, Seeds::Anchor, &opts, None, &nepal::obs::SpanHandle::none()).unwrap();
     }
 
     let registered: BTreeMap<String, (&'static str, String)> =
